@@ -31,9 +31,23 @@
 //     the serial dense-kernel run.
 //   * reconstruct_warm — repeated Reconstruct on one caching context:
 //     after the first call every node test and leaf scan is a cache hit.
+//   * reconstruct_pruned — kExact on a PRUNED tree, which runs through
+//     the h_0 index: the paper's serving configuration
+//     (MakeConfigForAccuracy(0.9, n = 1000, k = 3)) at M = 1e6 and 1e7
+//     with 10% of the namespace occupied, and 1000-id queries drawn from
+//     the occupied ids (uniform, or clustered inside a window of 10% of
+//     them). Reports the index build and its size, the cold pass (fresh
+//     context, index built), the warm pass (the context's cached answer),
+//     membership queries per cold pass, the traversal the index replaces
+//     (kThresholded at threshold 0 — the same output — serial and at
+//     hardware concurrency), and one_shot_us: the index build plus the
+//     cold pass — what a one-shot `bsr reconstruct --exact` pays. The
+//     build is the tree's first exact query minus the uniform row's cold
+//     pass.
 //
 // BSR_BENCH_FULL=1 raises the round counts; the quick default finishes in
 // well under a minute.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
@@ -46,6 +60,7 @@
 #include "src/core/query_context.h"
 #include "src/util/simd.h"
 #include "src/util/timer.h"
+#include "src/workload/set_generators.h"
 
 namespace {
 
@@ -164,20 +179,143 @@ ReconResult TimeReconstruction(BloomSampleTree& tree,
   return result;
 }
 
+unsigned Nproc() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Median µs of one traversal-path exact reconstruct (kThresholded at
+/// threshold 0 prunes only on fewer than k shared bits — kExact's test —
+/// so its output equals the index path's) on a fresh context per rep.
+double TimeTraversalUs(BloomSampleTree& tree, const BloomFilter& query,
+                       uint32_t threads, int reps,
+                       std::vector<uint64_t>* output) {
+  tree.set_query_threads(threads);
+  const BstReconstructor reconstructor(&tree);
+  std::vector<double> us;
+  for (int rep = 0; rep < reps; ++rep) {
+    QueryContext ctx(tree, query);
+    Timer timer;
+    *output = reconstructor.Reconstruct(
+        ctx, nullptr, BstReconstructor::PruningMode::kThresholded);
+    us.push_back(timer.ElapsedSeconds() * 1e6);
+  }
+  return MedianOf(us);
+}
+
+/// The reconstruct_pruned rows for one namespace size (see the header).
+void RunPrunedExact(const bloomsample::bench::Env& env,
+                    uint64_t namespace_size, uint32_t parallel_threads) {
+  auto config = MakeConfigForAccuracy(0.9, /*n=*/1000, /*k=*/3,
+                                      namespace_size, HashFamilyKind::kSimple,
+                                      env.seed);
+  BSR_CHECK(config.ok(), "micro_query: paper config failed");
+  Rng rng(env.seed ^ namespace_size);
+  const std::vector<uint64_t> occupied =
+      GenerateUniformSet(namespace_size, namespace_size / 10, &rng).value();
+  auto built = BloomSampleTree::BuildPruned(config.value(), occupied);
+  BSR_CHECK(built.ok(), "micro_query: BuildPruned failed");
+  BloomSampleTree tree = std::move(built).value();
+  tree.set_intersection_threshold(0.0);
+
+  const uint64_t window = occupied.size() / 10;
+  const uint64_t start = rng.Below(occupied.size() - window);
+  const std::vector<uint64_t> uniform_idx =
+      GenerateUniformSet(occupied.size(), 1000, &rng).value();
+  const std::vector<uint64_t> clustered_idx =
+      GenerateClusteredSet(window, 1000, &rng).value();
+  std::vector<uint64_t> uniform_set;
+  std::vector<uint64_t> clustered_set;
+  for (uint64_t i : uniform_idx) uniform_set.push_back(occupied[i]);
+  for (uint64_t i : clustered_idx) {
+    clustered_set.push_back(occupied[start + i]);
+  }
+
+  const int reps = static_cast<int>(env.Rounds(/*quick=*/15, /*full=*/101));
+  const BstReconstructor reconstructor(&tree);
+  bool first_query = true;
+  double build_ms = 0.0;
+  for (const bool clustered : {false, true}) {
+    const BloomFilter query =
+        tree.MakeQueryFilter(clustered ? clustered_set : uniform_set);
+    std::vector<uint64_t> serial;
+    std::vector<uint64_t> parallel;
+    const double serial_us = TimeTraversalUs(tree, query, 1, reps, &serial);
+    const double parallel_us =
+        TimeTraversalUs(tree, query, parallel_threads, reps, &parallel);
+
+    // The first exact query on the tree builds its index.
+    double first_us = 0.0;
+    if (first_query) {
+      Timer timer;
+      (void)reconstructor.Reconstruct(query, nullptr,
+                                      BstReconstructor::PruningMode::kExact);
+      first_us = timer.ElapsedSeconds() * 1e6;
+    }
+    std::vector<double> cold;
+    std::vector<double> warm;
+    OpCounters cold_counters;
+    std::vector<uint64_t> output;
+    bool identical = true;
+    for (int rep = 0; rep < reps; ++rep) {
+      QueryContext ctx(tree, query);
+      OpCounters counters;
+      Timer timer;
+      output = reconstructor.Reconstruct(
+          ctx, &counters, BstReconstructor::PruningMode::kExact);
+      cold.push_back(timer.ElapsedSeconds() * 1e6);
+      cold_counters = counters;
+      Timer warm_timer;
+      identical &= reconstructor.Reconstruct(
+                       ctx, nullptr, BstReconstructor::PruningMode::kExact) ==
+                   output;
+      warm.push_back(warm_timer.ElapsedSeconds() * 1e6);
+    }
+    const double cold_us = MedianOf(cold);
+    if (first_query) build_ms = (first_us - cold_us) / 1e3;
+    first_query = false;
+    identical &= output == serial && output == parallel;
+
+    std::printf(
+        ",\n  {\"bench\": \"micro_query\", \"variant\": "
+        "\"reconstruct_pruned\", \"query\": \"%s\", \"nproc\": %u, "
+        "\"simd\": \"%s\", \"m\": %" PRIu64 ", \"namespace\": %" PRIu64
+        ", \"occupied\": %zu, \"depth\": %u, \"elements\": %zu"
+        ", \"index_build_ms\": %.2f, \"index_mb\": %.3f"
+        ", \"cold_us\": %.1f, \"warm_us\": %.1f"
+        ", \"one_shot_us\": %.1f, \"membership_per_req\": %" PRIu64
+        ", \"traversal_us\": %.1f, \"traversal_threads\": %u"
+        ", \"traversal_parallel_us\": %.1f, \"identical\": %s}",
+        clustered ? "clustered" : "uniform", Nproc(),
+        simd::LevelName(simd::ActiveLevel()), tree.config().m,
+        namespace_size, occupied.size(), tree.config().depth, output.size(),
+        build_ms, tree.exact_index_stats().bytes / 1048576.0, cold_us,
+        MedianOf(warm), build_ms * 1e3 + cold_us,
+        cold_counters.membership_queries, serial_us, parallel_threads,
+        parallel_us, identical ? "true" : "false");
+  }
+}
+
 void PrintSampleRecord(bool first, const char* variant, const char* kernel,
                        uint64_t m, uint64_t namespace_size, uint64_t threads,
                        uint64_t rounds, uint64_t batch_size, double ns,
                        const OpCounters& counters, bool identical) {
   std::printf(
       "%s  {\"bench\": \"micro_query\", \"variant\": \"%s\", "
-      "\"kernel\": \"%s\", \"simd\": \"%s\", \"m\": %" PRIu64
+      "\"kernel\": \"%s\", \"nproc\": %u, \"simd\": \"%s\", "
+      "\"m\": %" PRIu64
       ", \"namespace\": %" PRIu64 ", \"threads\": %" PRIu64
       ", \"rounds\": %" PRIu64 ", \"batch_size\": %" PRIu64
       ", \"ns_per_sample\": %.1f, \"dense_intersections\": %" PRIu64
       ", \"sparse_intersections\": %" PRIu64
       ", \"intersection_bytes\": %" PRIu64
       ", \"estimate_cache_hits\": %" PRIu64 ", \"identical\": %s}",
-      first ? "" : ",\n", variant, kernel,
+      first ? "" : ",\n", variant, kernel, Nproc(),
       simd::LevelName(simd::ActiveLevel()), m, namespace_size, threads,
       rounds, batch_size, ns, counters.dense_intersections,
       counters.sparse_intersections, counters.intersection_bytes,
@@ -189,14 +327,15 @@ void PrintReconRecord(const char* variant, const char* kernel, uint64_t m,
                       const ReconResult& r, bool identical) {
   std::printf(
       ",\n  {\"bench\": \"micro_query\", \"variant\": \"%s\", "
-      "\"kernel\": \"%s\", \"simd\": \"%s\", \"m\": %" PRIu64
+      "\"kernel\": \"%s\", \"nproc\": %u, \"simd\": \"%s\", "
+      "\"m\": %" PRIu64
       ", \"namespace\": %" PRIu64 ", \"threads\": %" PRIu64
       ", \"batch_size\": 1, \"elements\": %zu"
       ", \"ns_per_element\": %.1f, \"dense_intersections\": %" PRIu64
       ", \"sparse_intersections\": %" PRIu64
       ", \"intersection_bytes\": %" PRIu64
       ", \"estimate_cache_hits\": %" PRIu64 ", \"identical\": %s}",
-      variant, kernel, simd::LevelName(simd::ActiveLevel()), m,
+      variant, kernel, Nproc(), simd::LevelName(simd::ActiveLevel()), m,
       namespace_size, threads, r.elements, r.ns_per_element,
       r.counters.dense_intersections, r.counters.sparse_intersections,
       r.counters.intersection_bytes, r.counters.estimate_cache_hits,
@@ -209,8 +348,7 @@ int main() {
   using bloomsample::bench::Env;
   const Env env = Env::FromEnv();
 
-  uint64_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
+  const uint64_t hw = Nproc();
   // On a single-core box still drive the parallel paths with 2 lanes: the
   // point of the N-thread rows is the fan-out path (and its
   // output-identity check), not just the speedup. min_parallel_work stays
@@ -318,6 +456,10 @@ int main() {
                      parallel_threads, recon_parallel, recon_identical);
     PrintReconRecord("reconstruct_warm", "sparse", m, namespace_size, 1,
                      recon_warm, recon_identical);
+  }
+  for (uint64_t pruned_namespace : {uint64_t{1000000}, uint64_t{10000000}}) {
+    RunPrunedExact(env, pruned_namespace,
+                   static_cast<uint32_t>(parallel_threads));
   }
   std::printf("\n]\n");
   return 0;

@@ -370,6 +370,138 @@ void BloomSampleTree::ScanLeafCandidates(int64_t id, const BloomFilter& query,
   }
 }
 
+void BloomSampleTree::EnsureExactIndex() const {
+  ExactIndex& idx = *exact_index_;
+  if (idx.built.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(idx.mu);
+  if (idx.built.load(std::memory_order_relaxed)) return;
+  // Pass 1 counts each bucket into offsets[b]; the inclusive prefix sum
+  // turns offsets[b] into bucket b's end. Pass 2 walks occupied_
+  // backwards and places each id at --offsets[h_0(x)], which leaves
+  // offsets[b] at bucket b's start and every bucket ascending. Hashing
+  // twice keeps the build's peak memory at the index's own size.
+  const HashFamily& family = *family_;
+  const size_t n = occupied_.size();
+  idx.offsets.assign(static_cast<size_t>(config_.m) + 1, 0);
+  for (uint64_t x : occupied_) ++idx.offsets[family.Hash(0, x)];
+  uint32_t end = 0;
+  for (uint32_t& offset : idx.offsets) {
+    end += offset;
+    offset = end;
+  }
+  idx.ids.resize(n);
+  for (size_t i = n; i-- > 0;) {
+    const uint64_t x = occupied_[i];
+    idx.ids[--idx.offsets[family.Hash(0, x)]] = static_cast<uint32_t>(x);
+  }
+  idx.pending.clear();
+  idx.removals = 0;
+  ++idx.generation;
+  idx.built.store(true, std::memory_order_release);
+}
+
+void BloomSampleTree::NoteExactIndexMutation(bool inserted, uint64_t x) {
+  ExactIndex& idx = *exact_index_;
+  std::lock_guard<std::mutex> lock(idx.mu);
+  if (!idx.built.load(std::memory_order_relaxed)) return;
+  if (inserted) {
+    idx.pending.push_back(static_cast<uint32_t>(x));
+  } else {
+    ++idx.removals;
+  }
+  if ((idx.pending.size() + idx.removals) * kExactIndexRebuildDivisor >
+      idx.ids.size()) {
+    // Free the storage now (no reader can hold it: mutations exclude
+    // queries), so the rebuild never coexists with the old copy.
+    idx.built.store(false, std::memory_order_relaxed);
+    std::vector<uint32_t>().swap(idx.offsets);
+    std::vector<uint32_t>().swap(idx.ids);
+    std::vector<uint32_t>().swap(idx.pending);
+    idx.removals = 0;
+  }
+}
+
+void BloomSampleTree::UpdateExactMembers(const BloomFilter& query,
+                                         ExactIndexPosition* at,
+                                         std::vector<uint64_t>* answer,
+                                         OpCounters* counters) const {
+  BSR_CHECK(HasExactIndex(), "UpdateExactMembers needs an h_0 index");
+  BSR_CHECK(at != nullptr && answer != nullptr,
+            "UpdateExactMembers: null output");
+  EnsureExactIndex();
+  const ExactIndex& idx = *exact_index_;
+  const ExactIndexPosition now{idx.generation, idx.pending.size(),
+                               idx.removals};
+
+  uint64_t block[BloomFilter::kHashBlock];
+  size_t filled = 0;
+  const auto flush = [&] {
+    CountMembership(counters, filled);
+    query.FilterContained(block, filled, answer);
+    filled = 0;
+  };
+  const auto test = [&](uint32_t x) {
+    block[filled++] = x;
+    if (filled == BloomFilter::kHashBlock) flush();
+  };
+  const size_t kept = answer->size();
+
+  if (at->generation == now.generation && at->removals == now.removals) {
+    // Only inserts since *at: the answer still holds, plus whichever of
+    // the ids logged since pass the filter.
+    for (uint64_t i = at->pending; i < now.pending; ++i) test(idx.pending[i]);
+    if (filled > 0) flush();
+    std::sort(answer->begin() + static_cast<ptrdiff_t>(kept), answer->end());
+    std::inplace_merge(answer->begin(),
+                       answer->begin() + static_cast<ptrdiff_t>(kept),
+                       answer->end());
+    *at = now;
+    return;
+  }
+
+  answer->clear();
+  const uint64_t* words = query.bits().word_data();
+  const size_t word_count = query.bits().word_count();
+  const uint64_t m = config_.m;
+  for (size_t w = 0; w < word_count; ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const uint64_t b = 64 * w + static_cast<uint64_t>(__builtin_ctzll(bits));
+      if (b >= m) break;
+      for (uint32_t i = idx.offsets[b]; i < idx.offsets[b + 1]; ++i) {
+        test(idx.ids[i]);
+      }
+    }
+  }
+  for (uint32_t x : idx.pending) test(x);
+  if (filled > 0) flush();
+  // Buckets come out in bit order. A removed-then-reinserted id sits in
+  // its bucket and in the log, and a removed one may still sit in its
+  // bucket: dedup, then keep only ids occupied now.
+  std::sort(answer->begin(), answer->end());
+  answer->erase(std::unique(answer->begin(), answer->end()), answer->end());
+  if (now.removals > 0) {
+    answer->erase(std::remove_if(answer->begin(), answer->end(),
+                                 [this](uint64_t x) {
+                                   return !std::binary_search(
+                                       occupied_.begin(), occupied_.end(), x);
+                                 }),
+                  answer->end());
+  }
+  *at = now;
+}
+
+BloomSampleTree::ExactIndexStats BloomSampleTree::exact_index_stats() const {
+  ExactIndex& idx = *exact_index_;
+  std::lock_guard<std::mutex> lock(idx.mu);
+  ExactIndexStats stats;
+  stats.bytes = sizeof(uint32_t) * (idx.offsets.capacity() +
+                                    idx.ids.capacity() +
+                                    idx.pending.capacity());
+  stats.builds = idx.generation;
+  stats.pending = idx.pending.size();
+  return stats;
+}
+
 Status BloomSampleTree::Insert(uint64_t x) {
   if (!pruned_) {
     return Status::Unsupported(
@@ -391,6 +523,7 @@ Status BloomSampleTree::Insert(uint64_t x) {
     if (!logged.ok()) return logged;
   }
   occupied_.insert(it, x);
+  NoteExactIndexMutation(/*inserted=*/true, x);
 
   // Walk the root-to-leaf path, creating missing nodes.
   if (nodes_.empty()) {
@@ -490,6 +623,7 @@ Status BloomSampleTree::Remove(uint64_t x) {
     if (!logged.ok()) return logged;
   }
   occupied_.erase(it);
+  NoteExactIndexMutation(/*inserted=*/false, x);
 
   // Walk the root-to-leaf path over x. Every node exists: x was occupied.
   BSR_CHECK(!nodes_.empty(), "remove of an occupied id in an empty tree");

@@ -18,13 +18,19 @@
 //     which is where the accuracy gain of Figure 15 comes from. Supports
 //     dynamic Insert() of newly occupied ids (creates nodes on demand).
 //
+// Pruned trees over namespaces of fewer than 2^32 ids also carry an h_0
+// index for exact reconstruction (UpdateExactMembers): the occupied ids
+// bucketed by their first hash bit, built on the first exact query.
+//
 // The tree is the shared, build-once index: one tree serves every query
 // Bloom filter over the same namespace/parameters.
 #ifndef BLOOMSAMPLE_CORE_BLOOM_SAMPLE_TREE_H_
 #define BLOOMSAMPLE_CORE_BLOOM_SAMPLE_TREE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -187,13 +193,55 @@ class BloomSampleTree {
                           OpCounters* counters,
                           std::vector<uint64_t>* out) const;
 
+  /// True when exact reconstruction runs through the h_0 index: pruned
+  /// trees whose ids (and id count) fit in 32 bits. Every x in S ∪ S(B)
+  /// has its bit h_0(x) set in the query, so testing only the occupied
+  /// ids bucketed under the query's set bits finds all of them — for any
+  /// hash family.
+  bool HasExactIndex() const {
+    return pruned_ && config_.namespace_size < (uint64_t{1} << 32);
+  }
+
+  /// How far the h_0 index had advanced when an exact answer was taken:
+  /// its build generation (0 = no answer yet), the length of its log of
+  /// ids inserted since that build, and the removals since that build.
+  struct ExactIndexPosition {
+    uint64_t generation = 0;
+    uint64_t pending = 0;
+    uint64_t removals = 0;
+  };
+
+  /// Brings *answer — the occupied ids `query` contains, ascending, as of
+  /// index position *at — up to date, and advances *at. When only inserts
+  /// happened since *at, only the ids inserted since are tested and the
+  /// hits merged in order; after a removal or an index rebuild (and for a
+  /// default *at) the answer is recomputed from the query's buckets plus
+  /// the insert log. Builds the index on first use, under its own mutex.
+  /// One membership query is counted per id tested; no node is visited.
+  /// HasExactIndex() trees only. Safe to call concurrently (with distinct
+  /// answers), but not concurrently with Insert/Remove.
+  void UpdateExactMembers(const BloomFilter& query, ExactIndexPosition* at,
+                          std::vector<uint64_t>* answer,
+                          OpCounters* counters) const;
+
+  /// Gauges of the h_0 index: heap bytes held, builds so far, and ids
+  /// inserted since the last build.
+  struct ExactIndexStats {
+    uint64_t bytes = 0;
+    uint64_t builds = 0;
+    uint64_t pending = 0;
+  };
+  ExactIndexStats exact_index_stats() const;
+
   /// Dynamically marks `x` as occupied (pruned trees only): inserts x into
   /// every filter on its root-to-leaf path, creating missing nodes, and
   /// updates the occupied list. O(depth · m-bit ops + |M′|) per call; batch
   /// rebuilds are preferable for bulk loads. With a WAL attached the
   /// record is appended (and synced per policy) BEFORE any in-memory
   /// mutation, so an acknowledged insert is exactly one that recovery will
-  /// replay; a failed append leaves the tree untouched.
+  /// replay; a failed append leaves the tree untouched. A built h_0 index
+  /// logs x as pending (or is dropped once the log passes its rebuild
+  /// point).
   Status Insert(uint64_t x);
 
   /// Opt-in delete support — the counting-bloom leaf backend. Builds one
@@ -381,6 +429,38 @@ class BloomSampleTree {
   /// Rewrites leaf `leaf_id`'s bit filter as the positive-counter pattern
   /// of its counting backend (bit i set ⟺ counter i > 0).
   void RebuildLeafFromCounters(int64_t leaf_id);
+
+  /// The h_0 index is dropped (and rebuilt by the next exact query) once
+  /// the ids inserted plus removed since its build pass 1/16 of the ids it
+  /// holds: the insert log every cold query tests then stays under ~6% of
+  /// n, and a rebuild's O(n) hashing is amortized over n/16 mutations.
+  static constexpr uint64_t kExactIndexRebuildDivisor = 16;
+
+  /// The h_0 index: a CSR over the occupied ids at build time, bucketed
+  /// by h_0(x) — ids[offsets[b], offsets[b+1]) are the ids hashing to bit
+  /// b, ascending — plus the ids inserted since (`pending`, append order)
+  /// and a count of removals since. Empty until the first exact query;
+  /// `built` flips under `mu` and is read with acquire, so concurrent
+  /// readers share one build. Insert/Remove (never concurrent with
+  /// queries) append to it or drop it. Heap-held so the tree stays
+  /// movable.
+  struct ExactIndex {
+    std::mutex mu;
+    std::atomic<bool> built{false};
+    uint64_t generation = 0;  ///< builds so far; 0 = never built
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> ids;
+    std::vector<uint32_t> pending;
+    uint64_t removals = 0;
+  };
+  std::unique_ptr<ExactIndex> exact_index_ = std::make_unique<ExactIndex>();
+
+  /// Builds the index if no build is live (two passes over occupied_:
+  /// count per bucket, then place — peak memory is the final size).
+  void EnsureExactIndex() const;
+  /// Insert/Remove hook: on a built index, logs an inserted x as pending
+  /// or counts a removal, then drops the index past the rebuild point.
+  void NoteExactIndexMutation(bool inserted, uint64_t x);
 };
 
 }  // namespace bloomsample

@@ -71,6 +71,9 @@ std::vector<uint64_t> BstReconstructor::Reconstruct(const QueryContext& ctx,
   if (tree_->root() == BloomSampleTree::kNoNode || ctx.query_bits() == 0) {
     return out;
   }
+  if (mode == PruningMode::kExact && tree_->HasExactIndex()) {
+    return ctx.ExactMembers(counters);
+  }
 
   const size_t threads = ResolveThreadCount(tree_->config().query_threads);
 

@@ -205,6 +205,13 @@ class IngestPipeline {
   class ReadGuard {
    public:
     const BloomSampleTree& tree() const { return *tree_; }
+    /// The guarded tree's refcount (null for borrowed forest lanes), for
+    /// keeping the generation alive past the guard. Use it instead of
+    /// tree_handle() while the guard lives: a second shared acquisition
+    /// spins behind a waiting writer, who waits on this guard.
+    const std::shared_ptr<const BloomSampleTree>& keepalive() const {
+      return keepalive_;
+    }
     ReadGuard(ReadGuard&&) = default;
     ReadGuard& operator=(ReadGuard&&) = default;
 

@@ -17,6 +17,19 @@ QueryContext::QueryContext(const BloomSampleTree& tree,
   // LeafEntry slots exist for every node id so lookups stay a flat index;
   // only leaves are ever filled.
   leaves_ = std::make_unique<LeafEntry[]>(nodes);
+  if (tree.HasExactIndex()) exact_ = std::make_unique<ExactAnswer>();
+}
+
+std::vector<uint64_t> QueryContext::ExactMembers(OpCounters* counters) const {
+  if (exact_ == nullptr) {
+    BloomSampleTree::ExactIndexPosition at;
+    std::vector<uint64_t> ids;
+    tree_->UpdateExactMembers(query(), &at, &ids, counters);
+    return ids;
+  }
+  std::lock_guard<std::mutex> lock(exact_->mu);
+  tree_->UpdateExactMembers(query(), &exact_->at, &exact_->ids, counters);
+  return exact_->ids;
 }
 
 }  // namespace bloomsample

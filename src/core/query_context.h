@@ -18,16 +18,23 @@
 //   * a leaf-positives cache: each leaf's membership scan against the
 //     query runs once, and every path that lands there afterwards picks
 //     from the recorded positives;
+//   * the exact answer (trees with an h_0 index): the query's occupied
+//     members, computed once and stored with the index position it
+//     reflects, so a later exact reconstruct tests only the ids inserted
+//     since;
 //   * reusable scratch buffers for the non-caching leaf-scan path.
 //
 // Build one per query filter and reuse it across calls — that reuse is
 // where the amortization lives. The context snapshots the query's bits:
-// mutate the filter (or the tree) and the context is stale — build a new
-// one. The caches are safe to share across query threads: cache entries
-// are pure functions of (node, query), so racing fills store identical
-// values (t∧ lives in relaxed atomics; leaf scans run under call_once).
-// The scratch buffers are NOT thread-safe; they are only touched by the
-// serial sampler paths and by the non-caching fallback.
+// mutate the filter and the context is stale — build a new one. The exact
+// answer follows tree mutations (ExactMembers); the node estimates and
+// leaf positives do not, so after an Insert/Remove the sampler and the
+// thresholded traversal still see the old tree. The caches are safe to
+// share across query threads: cache entries are pure functions of (node,
+// query), so racing fills store identical values (t∧ lives in relaxed
+// atomics; leaf scans run under call_once; the exact answer under its own
+// mutex). The scratch buffers are NOT thread-safe; they are only touched
+// by the serial sampler paths and by the non-caching fallback.
 #ifndef BLOOMSAMPLE_CORE_QUERY_CONTEXT_H_
 #define BLOOMSAMPLE_CORE_QUERY_CONTEXT_H_
 
@@ -130,6 +137,15 @@ class QueryContext {
     return entry.positives;
   }
 
+  /// The occupied ids the query contains, ascending — exactly S ∪ S(B)
+  /// over the occupied set — through the tree's h_0 index
+  /// (tree().HasExactIndex() must hold). A caching context keeps the
+  /// answer and the index position it reflects: a repeat call tests only
+  /// the ids inserted since (zero membership queries when none were) and
+  /// returns a copy; a removal or index rebuild since recomputes it.
+  /// Safe to call concurrently; not concurrently with tree mutations.
+  std::vector<uint64_t> ExactMembers(OpCounters* counters) const;
+
  private:
   friend class BstSampler;
 
@@ -140,6 +156,12 @@ class QueryContext {
     std::vector<uint64_t> positives;
   };
 
+  struct ExactAnswer {
+    std::mutex mu;
+    BloomSampleTree::ExactIndexPosition at;
+    std::vector<uint64_t> ids;
+  };
+
   const BloomSampleTree* tree_;
   BloomQueryView view_;
   // EstimateCache payload: t∧ per node id (kUnknown = not yet computed) and
@@ -147,6 +169,7 @@ class QueryContext {
   // state: BstReconstructor reads the context through const&.
   mutable std::unique_ptr<std::atomic<uint64_t>[]> t_and_;
   mutable std::unique_ptr<LeafEntry[]> leaves_;
+  mutable std::unique_ptr<ExactAnswer> exact_;
   // Sampler scratch: the non-caching leaf scan target, the pick buffer
   // SampleMany's without-replacement leaf draws permute, and the serial
   // descent's backtrack stack. Cleared (not reallocated) per use, so

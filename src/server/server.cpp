@@ -855,9 +855,10 @@ Result<std::shared_ptr<BsrServer::PooledContext>> BsrServer::GetContext(
   {
     std::lock_guard<std::mutex> lock(ctx_mu_);
     for (auto it = ctx_pool_.begin(); it != ctx_pool_.end();) {
-      if ((*it)->tree.get() != tree) {
-        // A hot swap retired this entry's tree; drop it so the pool
-        // never pins a dead generation.
+      if ((*it)->tree.get() != tree || (*it)->nodes != tree->node_count()) {
+        // A hot swap retired this entry's tree, or an INSERT created
+        // nodes the entry's per-node caches have no slot for; drop it so
+        // the pool never pins a dead generation or reads past a cache.
         it = ctx_pool_.erase(it);
         continue;
       }
@@ -879,12 +880,11 @@ Result<std::shared_ptr<BsrServer::PooledContext>> BsrServer::GetContext(
   if (!filter.ok()) return filter.status();
   auto entry = std::make_shared<PooledContext>();
   entry->filter_digest = filter_digest;
-  entry->tree = pipeline_->tree_handle();
+  entry->tree = guard.keepalive();
   if (entry->tree.get() != tree) {
-    // The swap landed between our guard release... it cannot: the guard
-    // holds the lane shared lock, so the handle IS the guarded tree.
-    return Status::Internal("tree handle changed under a read guard");
+    return Status::Internal("read guard holds no tree refcount");
   }
+  entry->nodes = tree->node_count();
   entry->filter =
       std::make_unique<BloomFilter>(std::move(filter).value());
   entry->ctx = std::make_unique<QueryContext>(*tree, *entry->filter);
@@ -1063,11 +1063,17 @@ std::string BsrServer::BuildStatsText() const {
         << "scrub.repairs=" << sc.repairs << "\n"
         << "scrub.quarantines=" << sc.quarantines << "\n";
   }
-  const auto tree = pipeline_->tree_handle();
-  if (tree != nullptr) {
-    out << "tree.occupied=" << tree->occupied().size() << "\n"
-        << "tree.namespace_size=" << tree->config().namespace_size << "\n";
-  }
+  // Under a read guard: INSERT reallocates occupied_ under the lane's
+  // exclusive lock, and the index gauges belong to the guarded generation
+  // (a swap retires the old tree's index with it).
+  const IngestPipeline::ReadGuard guard = pipeline_->AcquireRead();
+  const BloomSampleTree& tree = guard.tree();
+  const BloomSampleTree::ExactIndexStats index = tree.exact_index_stats();
+  out << "tree.occupied=" << tree.occupied().size() << "\n"
+      << "tree.namespace_size=" << tree.config().namespace_size << "\n"
+      << "tree.exact_index_bytes=" << index.bytes << "\n"
+      << "tree.exact_index_builds=" << index.builds << "\n"
+      << "tree.exact_index_pending=" << index.pending << "\n";
   return out.str();
 }
 

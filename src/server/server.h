@@ -35,7 +35,8 @@
 // response bytes are bit-identical to each request running alone —
 // coalescing is invisible to clients, including across a hot swap.
 // QueryContexts are pooled per (tree, filter digest): a warm context
-// serves every draw at O(depth) with zero kernel invocations.
+// serves every draw at O(depth) with zero kernel invocations, and an exact
+// RECONSTRUCT as a copy of its cached answer, refreshed across INSERTs.
 #ifndef BLOOMSAMPLE_SERVER_SERVER_H_
 #define BLOOMSAMPLE_SERVER_SERVER_H_
 
@@ -175,10 +176,14 @@ class BsrServer {
   struct Request;
 
   /// Pooled QueryContexts: keyed by filter digest, validated against the
-  /// current tree handle (a swap naturally invalidates entries). LRU.
+  /// current tree handle (a swap naturally invalidates entries) and its
+  /// node count (an INSERT that created nodes does too). LRU.
   struct PooledContext {
     uint64_t filter_digest = 0;
     std::shared_ptr<const BloomSampleTree> tree;
+    /// tree->node_count() when ctx was built: its per-node caches hold a
+    /// slot for exactly these node ids.
+    size_t nodes = 0;
     std::unique_ptr<BloomFilter> filter;
     std::unique_ptr<QueryContext> ctx;
   };

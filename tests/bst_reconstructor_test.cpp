@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "src/baselines/dictionary_attack.h"
 #include "src/workload/set_generators.h"
@@ -162,6 +164,228 @@ TEST(BstReconstructorTest, SingletonLeafEdges) {
     const auto result = reconstructor.Reconstruct(query);
     EXPECT_TRUE(std::binary_search(result.begin(), result.end(), member));
   }
+}
+
+// --- The h_0 index: kExact on pruned trees ------------------------------
+
+/// The exact answer by definition: DictionaryAttack over [0, M) restricted
+/// to the occupied ids.
+std::vector<uint64_t> OccupiedDictionaryAttack(const BloomSampleTree& tree,
+                                               const BloomFilter& query) {
+  const std::vector<uint64_t> attack =
+      DictionaryAttack(tree.config().namespace_size).Reconstruct(query);
+  std::vector<uint64_t> out;
+  std::set_intersection(attack.begin(), attack.end(),
+                        tree.occupied().begin(), tree.occupied().end(),
+                        std::back_inserter(out));
+  return out;
+}
+
+/// kExact through the index equals the threshold-0 traversal and the
+/// occupied-restricted DictionaryAttack, is ascending and duplicate-free,
+/// and passes the present/absent split: every present id comes back and
+/// every returned id is occupied and passes the filter. A caching context
+/// answers the same, and its warm repeat tests nothing.
+void ExpectIndexAnswerExact(BloomSampleTree* tree, const BloomFilter& query,
+                            const std::vector<uint64_t>& present,
+                            const std::string& what) {
+  ASSERT_TRUE(tree->HasExactIndex()) << what;
+  const BstReconstructor reconstructor(tree);
+  OpCounters counters;
+  const auto exact = reconstructor.Reconstruct(
+      query, &counters, BstReconstructor::PruningMode::kExact);
+  EXPECT_EQ(counters.nodes_visited, 0u) << what;
+  EXPECT_EQ(counters.intersections, 0u) << what;
+
+  const double threshold = tree->config().intersection_threshold;
+  tree->set_intersection_threshold(0.0);
+  EXPECT_EQ(exact, reconstructor.Reconstruct(
+                       query, nullptr,
+                       BstReconstructor::PruningMode::kThresholded))
+      << what;
+  tree->set_intersection_threshold(threshold);
+  EXPECT_EQ(exact, OccupiedDictionaryAttack(*tree, query)) << what;
+
+  EXPECT_TRUE(std::is_sorted(exact.begin(), exact.end())) << what;
+  EXPECT_EQ(std::adjacent_find(exact.begin(), exact.end()), exact.end())
+      << what;
+  for (uint64_t x : present) {
+    EXPECT_TRUE(std::binary_search(exact.begin(), exact.end(), x))
+        << what << ": lost present id " << x;
+  }
+  for (uint64_t x : exact) {
+    EXPECT_TRUE(query.Contains(x)) << what << ": " << x;
+    EXPECT_TRUE(std::binary_search(tree->occupied().begin(),
+                                   tree->occupied().end(), x))
+        << what << ": " << x;
+  }
+
+  const QueryContext ctx(*tree, query);
+  EXPECT_EQ(reconstructor.Reconstruct(ctx, nullptr,
+                                      BstReconstructor::PruningMode::kExact),
+            exact)
+      << what;
+  OpCounters warm;
+  EXPECT_EQ(reconstructor.Reconstruct(ctx, &warm,
+                                      BstReconstructor::PruningMode::kExact),
+            exact)
+      << what;
+  EXPECT_EQ(warm.membership_queries, 0u) << what;
+}
+
+TEST(BstReconstructorTest, ExactIndexEqualsTraversalAndDictionaryAttack) {
+  const uint64_t M = 100000;
+  for (HashFamilyKind kind :
+       {HashFamilyKind::kSimple, HashFamilyKind::kMurmur3}) {
+    TreeConfig config = Config(M, 25000, 6);
+    config.hash_kind = kind;
+    Rng rng(8);
+    const auto occupied = GenerateUniformSet(M, 10000, &rng).value();
+    auto tree = BloomSampleTree::BuildPruned(config, occupied).value();
+    const std::string family = HashFamilyKindName(kind);
+
+    // Uniform members of the occupied set (present), plus ids outside it.
+    const auto picks = GenerateUniformSet(occupied.size(), 400, &rng).value();
+    std::vector<uint64_t> present;
+    for (uint64_t i : picks) present.push_back(occupied[i]);
+    std::vector<uint64_t> members = present;
+    const auto outside = GenerateUniformSet(M, 300, &rng).value();
+    members.insert(members.end(), outside.begin(), outside.end());
+    ExpectIndexAnswerExact(&tree, tree.MakeQueryFilter(members), present,
+                           family + " uniform");
+
+    // Clustered members inside a window of 10% of the occupied ids.
+    const auto window = GenerateClusteredSet(1000, 500, &rng).value();
+    std::vector<uint64_t> clustered;
+    for (uint64_t i : window) clustered.push_back(occupied[4000 + i]);
+    ExpectIndexAnswerExact(&tree, tree.MakeQueryFilter(clustered), clustered,
+                           family + " clustered");
+
+    // Empty: nothing back, nothing tested.
+    OpCounters empty_counters;
+    EXPECT_TRUE(BstReconstructor(&tree)
+                    .Reconstruct(tree.MakeQueryFilter(), &empty_counters,
+                                 BstReconstructor::PruningMode::kExact)
+                    .empty());
+    EXPECT_EQ(empty_counters.membership_queries, 0u);
+
+    // Saturated: every bit set, so every occupied id comes back.
+    BloomFilter saturated = tree.MakeQueryFilter();
+    for (uint64_t b = 0; b < config.m; ++b) {
+      saturated.mutable_bits().Set(static_cast<size_t>(b));
+    }
+    ExpectIndexAnswerExact(&tree, saturated, occupied, family + " saturated");
+    EXPECT_EQ(BstReconstructor(&tree).Reconstruct(
+                  saturated, nullptr, BstReconstructor::PruningMode::kExact),
+              occupied);
+  }
+}
+
+TEST(BstReconstructorTest, ExactIndexFollowsInsertAndRemove) {
+  const uint64_t M = 100000;
+  Rng rng(9);
+  const auto occupied = GenerateUniformSet(M, 1600, &rng).value();
+  auto tree =
+      BloomSampleTree::BuildPruned(Config(M, 25000, 6), occupied).value();
+  ASSERT_TRUE(tree.EnableCountingLeaves().ok());
+  const BstReconstructor reconstructor(&tree);
+
+  // The query holds 200 occupied ids and 200 ids the test inserts later.
+  std::vector<uint64_t> present(occupied.begin(), occupied.begin() + 200);
+  std::vector<uint64_t> fresh;
+  for (uint64_t x = 1; fresh.size() < 200; x += 97) {
+    if (!std::binary_search(occupied.begin(), occupied.end(), x)) {
+      fresh.push_back(x);
+    }
+  }
+  std::vector<uint64_t> members = present;
+  members.insert(members.end(), fresh.begin(), fresh.end());
+  const BloomFilter query = tree.MakeQueryFilter(members);
+  // The pooled case: one caching context kept across every mutation.
+  const QueryContext pooled(tree, query);
+  const auto check = [&](const std::string& what) {
+    std::vector<uint64_t> expected_present;
+    for (uint64_t x : members) {
+      if (std::binary_search(tree.occupied().begin(), tree.occupied().end(),
+                             x)) {
+        expected_present.push_back(x);
+      }
+    }
+    std::sort(expected_present.begin(), expected_present.end());
+    ExpectIndexAnswerExact(&tree, query, expected_present, what);
+    EXPECT_EQ(reconstructor.Reconstruct(
+                  pooled, nullptr, BstReconstructor::PruningMode::kExact),
+              OccupiedDictionaryAttack(tree, query))
+        << what << " (pooled context)";
+  };
+  check("built");
+  EXPECT_EQ(tree.exact_index_stats().builds, 1u);
+
+  // Interleaved: insert fresh members, remove present ones and some ids
+  // outside the query.
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tree.Insert(fresh[i]).ok());
+    ASSERT_TRUE(tree.Remove(present[i]).ok());
+    ASSERT_TRUE(tree.Remove(occupied[1000 + i]).ok());
+    if (i % 5 == 4) check("interleaved step " + std::to_string(i));
+  }
+  // Re-insert removed ids: they sit in their bucket and in the log.
+  for (size_t i = 0; i < 10; ++i) ASSERT_TRUE(tree.Insert(present[i]).ok());
+  check("re-inserted");
+  // Insert-only steps keep the pooled answer incremental.
+  for (size_t i = 20; i < 30; ++i) ASSERT_TRUE(tree.Insert(fresh[i]).ok());
+  OpCounters incremental;
+  (void)reconstructor.Reconstruct(pooled, nullptr,
+                                  BstReconstructor::PruningMode::kExact);
+  ASSERT_TRUE(tree.Insert(fresh[30]).ok());
+  EXPECT_TRUE(std::binary_search(
+      tree.occupied().begin(), tree.occupied().end(), fresh[30]));
+  const auto after_one = reconstructor.Reconstruct(
+      pooled, &incremental, BstReconstructor::PruningMode::kExact);
+  EXPECT_EQ(incremental.membership_queries, 1u);
+  EXPECT_TRUE(std::binary_search(after_one.begin(), after_one.end(),
+                                 fresh[30]));
+  check("incremental");
+  EXPECT_EQ(tree.exact_index_stats().builds, 1u);
+
+  // Crossing the rebuild point (1/16 of the 1600 ids) drops the index;
+  // the next exact query rebuilds it and recomputes the pooled answer.
+  for (size_t i = 31; i < 200; ++i) ASSERT_TRUE(tree.Insert(fresh[i]).ok());
+  EXPECT_EQ(tree.exact_index_stats().bytes, 0u);
+  check("rebuilt");
+  EXPECT_EQ(tree.exact_index_stats().builds, 2u);
+  EXPECT_EQ(tree.exact_index_stats().pending, 0u);
+}
+
+TEST(BstReconstructorTest, NamespaceBeyond32BitsFallsBackToTraversal) {
+  // Ids past 2^32 do not fit the index's u32 buckets: kExact traverses.
+  const uint64_t M = (uint64_t{1} << 33) + 12345;
+  Rng rng(10);
+  std::vector<uint64_t> occupied;
+  for (int i = 0; i < 3000; ++i) occupied.push_back(rng.Below(M));
+  occupied.push_back(M - 1);
+  std::sort(occupied.begin(), occupied.end());
+  occupied.erase(std::unique(occupied.begin(), occupied.end()),
+                 occupied.end());
+  const auto tree =
+      BloomSampleTree::BuildPruned(Config(M, 20000, 8), occupied).value();
+  EXPECT_FALSE(tree.HasExactIndex());
+
+  std::vector<uint64_t> present(occupied.end() - 150, occupied.end());
+  const BloomFilter query = tree.MakeQueryFilter(present);
+  OpCounters counters;
+  const auto exact = BstReconstructor(&tree).Reconstruct(
+      query, &counters, BstReconstructor::PruningMode::kExact);
+  EXPECT_GT(counters.nodes_visited, 0u);
+  std::vector<uint64_t> expected;
+  for (uint64_t x : occupied) {
+    if (query.Contains(x)) expected.push_back(x);
+  }
+  EXPECT_EQ(exact, expected);
+  EXPECT_TRUE(std::includes(exact.begin(), exact.end(), present.begin(),
+                            present.end()));
+  EXPECT_GT(exact.back(), uint64_t{1} << 32);
+  EXPECT_EQ(tree.exact_index_stats().builds, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,10 @@
 //     probability, and RNG consumption matches draw for draw), and a
 //     reused QueryContext must behave exactly like a fresh one — the
 //     EstimateCache and leaf cache may only change *work*, never results.
+//   * kExact on a pruned tree runs through the h_0 index: its output must
+//     equal the threshold-0 traversal and DictionaryAttack over the
+//     occupied ids for every thread count, SIMD tier, load mode (heap,
+//     mmap) and forest shard count (1, 4), cold and warm.
 //   * SampleBatch runs every draw on its counter-based stream, so a batch
 //     of N must equal N serial Sample calls on Rng::ForStream(seed, i) —
 //     draw for draw, for every query_threads value, every min_parallel_work
@@ -15,13 +19,19 @@
 //     paper's chi-squared uniformity test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/baselines/dictionary_attack.h"
+#include "src/core/bloom_sample_forest.h"
 #include "src/core/bst_reconstructor.h"
 #include "src/core/bst_sampler.h"
 #include "src/core/query_context.h"
+#include "src/core/tree_io.h"
 #include "src/stats/chi_squared.h"
 #include "src/util/rng.h"
 #include "src/util/simd.h"
@@ -99,6 +109,122 @@ TEST(QueryDeterminismTest, PrunedTreeReconstructionAcrossThreadCounts) {
     tree.set_query_threads(threads);
     EXPECT_EQ(reconstructor.Reconstruct(query), serial)
         << "threads=" << threads;
+  }
+}
+
+/// DictionaryAttack over [0, M) restricted to `occupied` (sorted).
+std::vector<uint64_t> OccupiedDictionaryAttack(
+    uint64_t namespace_size, const std::vector<uint64_t>& occupied,
+    const BloomFilter& query) {
+  const std::vector<uint64_t> attack =
+      DictionaryAttack(namespace_size).Reconstruct(query);
+  std::vector<uint64_t> out;
+  std::set_intersection(attack.begin(), attack.end(), occupied.begin(),
+                        occupied.end(), std::back_inserter(out));
+  return out;
+}
+
+TEST(QueryDeterminismTest, ExactIndexIdenticalAcrossLoadsTiersAndThreads) {
+  const uint64_t M = 20000;
+  Rng rng(53);
+  const auto occupied = GenerateUniformSet(M, 2000, &rng).value();
+  auto built =
+      BloomSampleTree::BuildPruned(Config(M, 9000, 6), occupied).value();
+  const std::string path = ::testing::TempDir() + "/exact_index.bst";
+  std::remove(path.c_str());
+  ASSERT_TRUE(SaveTreeToFile(built, path).ok());
+
+  std::vector<BloomFilter> queries;
+  std::vector<std::vector<uint64_t>> references;
+  for (bool clustered : {false, true}) {
+    const auto picks =
+        clustered ? GenerateClusteredSet(occupied.size(), 300, &rng).value()
+                  : GenerateUniformSet(occupied.size(), 300, &rng).value();
+    std::vector<uint64_t> members;
+    for (uint64_t i : picks) members.push_back(occupied[i]);
+    queries.push_back(built.MakeQueryFilter(members));
+    references.push_back(
+        OccupiedDictionaryAttack(M, occupied, queries.back()));
+  }
+
+  const simd::Level original = simd::ActiveLevel();
+  for (LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+    LoadOptions options;
+    options.mode = mode;
+    auto loaded = LoadTreeFromFile(path, options);
+    if (!loaded.ok() && mode == LoadMode::kMmap) continue;  // no mmap here
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    BloomSampleTree& tree = loaded.value();
+    const BstReconstructor reconstructor(&tree);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      // The loaded tree has its own family: rebuild the filter on it.
+      BloomFilter query = tree.MakeQueryFilter();
+      query.mutable_bits().OrWith(queries[q].bits());
+      for (simd::Level level :
+           {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+        if (!simd::LevelSupported(level)) continue;
+        simd::ForceLevel(level);
+        const QueryContext ctx(tree, query);
+        for (uint32_t threads : {1u, 2u, 0u}) {
+          tree.set_query_threads(threads);
+          const std::string what =
+              "mode=" + std::to_string(static_cast<int>(mode)) +
+              " tier=" + simd::LevelName(level) +
+              " threads=" + std::to_string(threads) + " q=" +
+              std::to_string(q);
+          EXPECT_EQ(reconstructor.Reconstruct(
+                        query, nullptr, BstReconstructor::PruningMode::kExact),
+                    references[q])
+              << what;
+          EXPECT_EQ(reconstructor.Reconstruct(
+                        ctx, nullptr, BstReconstructor::PruningMode::kExact),
+                    references[q])
+              << what << " (caching context)";
+          EXPECT_EQ(reconstructor.Reconstruct(
+                        query, nullptr,
+                        BstReconstructor::PruningMode::kThresholded),
+                    references[q])
+              << what << " (threshold-0 traversal)";
+        }
+      }
+    }
+  }
+  simd::ForceLevel(original);
+  std::remove(path.c_str());
+}
+
+TEST(QueryDeterminismTest, ForestExactIndexMatchesTraversal) {
+  const uint64_t M = 20000;
+  Rng rng(59);
+  const auto occupied = GenerateUniformSet(M, 2000, &rng).value();
+  const auto picks = GenerateClusteredSet(occupied.size(), 300, &rng).value();
+  std::vector<uint64_t> members;
+  for (uint64_t i : picks) members.push_back(occupied[i]);
+  for (uint32_t shards : {1u, 4u}) {
+    ForestConfig config;
+    config.tree = Config(M, 9000, 6);
+    config.shards = shards;
+    auto forest = BloomSampleForest::BuildPruned(config, occupied);
+    ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+    const BloomFilter query = forest.value().MakeQueryFilter(members);
+    const auto reference = OccupiedDictionaryAttack(M, occupied, query);
+    const ForestQueryContext ctx(forest.value(), query);
+    const ForestReconstructor reconstructor(&forest.value());
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then cached answers
+      OpCounters counters;
+      EXPECT_EQ(reconstructor.Reconstruct(
+                    ctx, &counters, BstReconstructor::PruningMode::kExact),
+                reference)
+          << "shards=" << shards << " pass=" << pass;
+      EXPECT_EQ(counters.nodes_visited, 0u) << "shards=" << shards;
+      if (pass == 1) {
+        EXPECT_EQ(counters.membership_queries, 0u) << "shards=" << shards;
+      }
+    }
+    EXPECT_EQ(reconstructor.Reconstruct(
+                  ctx, nullptr, BstReconstructor::PruningMode::kThresholded),
+              reference)
+        << "shards=" << shards << " (threshold-0 traversal)";
   }
 }
 

@@ -5,7 +5,15 @@
 //     the same tree/filter/seed — serving (and cross-client coalescing)
 //     is invisible in the draws;
 //   * RECONSTRUCT equals the local reconstructor; INSERT is durable and
-//     immediately visible to subsequent queries;
+//     immediately visible to subsequent queries — including an exact
+//     RECONSTRUCT on the pooled context of a filter seen before the write
+//     (and a REMOVE on counting leaves drops the id there);
+//   * concurrent exact RECONSTRUCTs, racing the index build and INSERTs,
+//     each see every INSERT acknowledged before they were sent;
+//   * an INSERT that creates tree nodes retires the pooled contexts, whose
+//     per-node caches have no slot for them;
+//   * STATS carries the h_0 index gauges, built lazily by the first exact
+//     RECONSTRUCT and retired with their tree on a swap;
 //   * the degradation ladder fires on demand: expired deadlines answer
 //     DEADLINE_EXCEEDED, a full admission queue sheds OVERLOADED (and
 //     the retry-after hint reaches the client), a quarantined lane
@@ -26,6 +34,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,6 +51,28 @@ std::vector<uint64_t> QueryIds() {
   return {5, 32, 59, 86, 113, 140, 167, 194};  // all in BaseOccupied
 }
 
+/// The exact answer by brute force: every occupied id the set's filter
+/// contains, ascending.
+std::vector<uint64_t> BruteForceExact(const BloomSampleTree& tree,
+                                      const std::vector<uint64_t>& ids) {
+  BloomFilter query(tree.family_ptr());
+  query.InsertBatch(ids);
+  std::vector<uint64_t> out;
+  for (uint64_t x : tree.occupied()) {
+    if (query.Contains(x)) out.push_back(x);
+  }
+  return out;
+}
+
+/// The value of `key` in a STATS text, or -1 when the key is missing.
+int64_t StatValue(const std::string& stats, const std::string& key) {
+  const std::string needle = "\n" + key + "=";
+  const std::string text = "\n" + stats;
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + needle.size()));
+}
+
 TEST(ServerTest, PingAndStats) {
   ServerHarness h;
   h.Start("ping");
@@ -54,7 +85,9 @@ TEST(ServerTest, PingAndStats) {
   for (const char* key :
        {"server.accepted=", "server.queue_depth=", "server.shed_queue_full=",
         "server.deadline_exceeded=", "lane.0.read_only=",
-        "lane.0.quarantined=", "pipeline.fsyncs=", "tree.occupied="}) {
+        "lane.0.quarantined=", "pipeline.fsyncs=", "tree.occupied=",
+        "tree.exact_index_bytes=", "tree.exact_index_builds=",
+        "tree.exact_index_pending="}) {
     EXPECT_NE(stats.value().find(key), std::string::npos)
         << "missing " << key << " in:\n"
         << stats.value();
@@ -149,6 +182,196 @@ TEST(ServerTest, ReconstructMatchesLocalAndInsertIsVisible) {
     EXPECT_TRUE(std::binary_search(back.value().begin(), back.value().end(),
                                    id));
   }
+}
+
+TEST(ServerTest, ExactReconstructReadsItsWritesOnAPooledContext) {
+  ServerHarness h;
+  h.Start("ryw");
+  // The filter's set holds 6, which BaseOccupied (5 mod 27) lacks.
+  std::vector<uint64_t> set = QueryIds();
+  set.push_back(6);
+  const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree, set);
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+
+  auto before = client.value()->Reconstruct(filter_bytes, /*exact=*/true);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_FALSE(std::binary_search(before.value().begin(),
+                                  before.value().end(), 6));
+
+  // Same filter bytes, so the second RECONSTRUCT runs on the context the
+  // first one pooled; it must still see the acknowledged INSERT.
+  ASSERT_TRUE(client.value()->Insert({6}).ok());
+  auto after = client.value()->Reconstruct(filter_bytes, /*exact=*/true);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(std::binary_search(after.value().begin(), after.value().end(),
+                                 6));
+  EXPECT_EQ(after.value(), BruteForceExact(*h.pipeline->tree_handle(), set));
+}
+
+TEST(ServerTest, ExactReconstructDropsARemovedIdOnAPooledContext) {
+  ServerHarness h;
+  h.Start("rywrm");
+  ASSERT_TRUE(h.pipeline->EnableCountingLeaves().ok());
+  const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree,
+                                                           QueryIds());
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+
+  auto before = client.value()->Reconstruct(filter_bytes, /*exact=*/true);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_TRUE(std::binary_search(before.value().begin(),
+                                 before.value().end(), 5));
+
+  ASSERT_TRUE(client.value()->Remove({5}).ok());
+  auto after = client.value()->Reconstruct(filter_bytes, /*exact=*/true);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(std::binary_search(after.value().begin(), after.value().end(),
+                                  5));
+  EXPECT_EQ(after.value(),
+            BruteForceExact(*h.pipeline->tree_handle(), QueryIds()));
+}
+
+TEST(ServerTest, ConcurrentExactReconstructsSeeEveryAcknowledgedInsert) {
+  ServerHarness h;
+  ServerOptions options;
+  options.workers = 4;
+  h.Start("concur", options);
+  // Two filters, each over base members plus ids the writer inserts
+  // (6 mod 27: never in BaseOccupied).
+  std::vector<uint64_t> fresh;
+  for (uint64_t i = 0; i < 40; ++i) fresh.push_back(6 + 27 * i);
+  std::vector<std::vector<uint64_t>> sets = {QueryIds(), {221, 248, 275}};
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    sets[i % 2].push_back(fresh[i]);
+  }
+  std::vector<std::vector<uint8_t>> filters;
+  for (const auto& set : sets) filters.push_back(FilterBytesFor(*h.tree, set));
+
+  std::atomic<size_t> acked{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    auto client = QuickClient(h.server->address());
+    EXPECT_TRUE(client.ok());
+    for (size_t i = 0; client.ok() && i < fresh.size(); ++i) {
+      const Status st = client.value()->Insert({fresh[i]});
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (!st.ok()) break;
+      acked.store(i + 1);
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      auto client = QuickClient(h.server->address());
+      ASSERT_TRUE(client.ok());
+      for (size_t round = 0; !done.load() || round < 4; ++round) {
+        const size_t f = (r + round) % 2;
+        const size_t seen = acked.load();
+        auto ids = client.value()->Reconstruct(filters[f], /*exact=*/true);
+        ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+        for (size_t i = f; i < seen; i += 2) {
+          EXPECT_TRUE(std::binary_search(ids.value().begin(),
+                                         ids.value().end(), fresh[i]))
+              << "acknowledged insert " << fresh[i] << " missing";
+        }
+        if (r == 0) {
+          EXPECT_TRUE(client.value()->Stats().ok());
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+  for (size_t f = 0; f < sets.size(); ++f) {
+    auto ids = client.value()->Reconstruct(filters[f], /*exact=*/true);
+    ASSERT_TRUE(ids.ok());
+    EXPECT_EQ(ids.value(),
+              BruteForceExact(*h.pipeline->tree_handle(), sets[f]));
+  }
+}
+
+TEST(ServerTest, InsertThatCreatesNodesRetiresPooledContexts) {
+  // Occupied ids only in the lower half: an INSERT in the upper half
+  // creates nodes a pooled context's per-node caches have no slot for.
+  std::vector<uint64_t> lower;
+  for (uint64_t x : BaseOccupied()) {
+    if (x < 2048) lower.push_back(x);
+  }
+  ServerHarness h;
+  h.Start("grow", ServerOptions(), lower);
+  std::vector<uint64_t> set = QueryIds();
+  set.push_back(3000);
+  const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree, set);
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->Sample(filter_bytes, 16, 5).ok());
+
+  const size_t nodes = h.tree->node_count();
+  ASSERT_TRUE(client.value()->Insert({3000}).ok());
+  ASSERT_GT(h.pipeline->tree_handle()->node_count(), nodes);
+  auto draws = client.value()->Sample(filter_bytes, 16, 5);
+  ASSERT_TRUE(draws.ok()) << draws.status().ToString();
+  BloomFilter query(h.tree->family_ptr());
+  query.InsertBatch(set);
+  EXPECT_EQ(draws.value(),
+            BstSampler(h.pipeline->tree_handle().get())
+                .SampleBatch(query, 16, 5));
+}
+
+TEST(ServerTest, ExactIndexGaugesFollowTheTreeGeneration) {
+  ServerHarness h;
+  h.Start("gauges");
+  const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree,
+                                                           QueryIds());
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+  const auto stats = [&] {
+    auto text = client.value()->Stats();
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    return text.ok() ? text.value() : std::string();
+  };
+
+  // Lazy: neither daemon start nor a thresholded RECONSTRUCT builds it.
+  ASSERT_TRUE(client.value()->Reconstruct(filter_bytes, false).ok());
+  std::string text = stats();
+  EXPECT_EQ(StatValue(text, "tree.exact_index_bytes"), 0) << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_builds"), 0) << text;
+
+  ASSERT_TRUE(client.value()->Reconstruct(filter_bytes, true).ok());
+  text = stats();
+  const int64_t built_bytes = StatValue(text, "tree.exact_index_bytes");
+  EXPECT_GT(built_bytes, 0) << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_builds"), 1) << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_pending"), 0) << text;
+
+  ASSERT_TRUE(client.value()->Insert({6}).ok());
+  text = stats();
+  EXPECT_EQ(StatValue(text, "tree.exact_index_pending"), 1) << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_builds"), 1) << text;
+
+  // A swap retires the old generation's index with its tree: the gauge
+  // drops to the new tree's (unbuilt) value, and its first exact
+  // RECONSTRUCT builds one again.
+  h.server->RequestSwap();
+  for (int i = 0; i < 500 && h.server->stats().swaps < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(h.server->stats().swaps, 1u);
+  text = stats();
+  EXPECT_EQ(StatValue(text, "tree.exact_index_bytes"), 0) << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_builds"), 0) << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_pending"), 0) << text;
+
+  ASSERT_TRUE(client.value()->Reconstruct(filter_bytes, true).ok());
+  text = stats();
+  EXPECT_GT(StatValue(text, "tree.exact_index_bytes"), 0) << text;
+  EXPECT_LE(StatValue(text, "tree.exact_index_bytes"), built_bytes + 64)
+      << text;
+  EXPECT_EQ(StatValue(text, "tree.exact_index_builds"), 1) << text;
 }
 
 TEST(ServerTest, ExpiredDeadlineIsAnsweredNotDropped) {
