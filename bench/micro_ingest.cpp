@@ -1,31 +1,41 @@
 // Microbenchmark for crash-safe ingest: what does durability cost per
-// insert? Dynamic inserts append to the sidecar write-ahead log before
-// mutating the tree (core/wal.h), and the WalSyncPolicy decides how often
-// the log is fsynced — the whole acknowledged-equals-durable spectrum:
+// insert? Every durable insert goes through IngestPipeline
+// (core/ingest_pipeline.h), which appends to the sidecar write-ahead log
+// (core/wal.h) and fences it per the WalSyncPolicy before the tree
+// mutates — the whole acknowledged-equals-durable spectrum:
 //
-//   * no-wal    — in-memory Insert only, nothing logged (the upper bound;
-//                 a crash loses everything since the last snapshot)
+//   * no-wal    — in-memory BloomSampleTree::Insert only, nothing logged
+//                 (the upper bound; a crash loses everything since the
+//                 last snapshot)
 //   * none      — log appends ride the page cache, never fsynced by the
 //                 writer (a crash loses the unsynced suffix)
 //   * interval  — fsync every 64 records (bounded loss window)
-//   * every     — fsync per record: Insert returns only after its record
-//                 is on stable storage (the paper-grade guarantee; the
-//                 fsync dominates, so this is really a disk benchmark)
+//   * every     — fsync per commit: a mutation is acknowledged only after
+//                 its record is on stable storage (the paper-grade
+//                 guarantee; the fsync dominates, so this is really a disk
+//                 benchmark)
 //
-// Output: a JSON array on stdout; one record per (policy, variant):
-//   {"bench": "micro_ingest", "variant": "ingest", "policy": "...",
+// Output: a JSON array on stdout. Every row carries the host's core count
+// ("nproc") and active SIMD tier ("simd"). One row per (policy, variant):
+//   {"bench": "micro_ingest", "variant": "ingest", "policy": "no-wal",
 //    "inserts": <K>, "ms": <double>, "inserts_per_sec": <double>, ...}
+//   {"bench": "micro_ingest", "variant": "queue", "policy": "...",
+//    "inserts": <K>, "ms": <double>, "inserts_per_sec": <double>,
+//    "commit_groups": <g>, "fsyncs": <f>, ...}
 //   {"bench": "micro_ingest", "variant": "reopen", "policy": "...",
 //    "replayed": <K>, "open_ms": <double>, ...}
 //
-// The "reopen" variant times LoadTreeFromFile on the artifact the ingest
-// left behind — for WAL policies that includes replaying all K records,
-// i.e. the crash-recovery cost the log defers to the next open.
+// The "queue" variant is what `bsr insert` runs: one producer Pushes every
+// id onto the pipeline's bounded queue, then Flushes once; its writer
+// thread commits each drained batch as one group. The timing covers the
+// pushes, the Flush and the pipeline's Close. The "reopen" variant times
+// LoadTreeFromFile on the artifact the ingest left behind — for WAL
+// policies that includes replaying all K records, i.e. the crash-recovery
+// cost the log defers to the next open.
 //
-// A second section benchmarks CONCURRENT ingest through the
-// IngestPipeline (core/ingest_pipeline.h): T writer threads call the
-// synchronous Insert path, which logs through leader–follower group
-// commit — concurrent committers share one fsync. Rows:
+// A second section benchmarks CONCURRENT synchronous ingest: T writer
+// threads call IngestPipeline::Insert, which logs through leader–follower
+// group commit — concurrent committers share one fsync. Rows:
 //   {"bench": "micro_ingest", "variant": "concurrent", "policy": "...",
 //    "threads": T, "readers": R, "inserts": <K>, "ms": <double>,
 //    "inserts_per_sec": <double>, "commit_groups": <g>, "fsyncs": <f>}
@@ -33,8 +43,9 @@
 // well below inserts — that gap IS group commit. The readers>0 rows add
 // sampler threads hammering AcquireRead to show ingest under query load.
 //
-// BSR_BENCH_FULL=1 raises the insert count; the quick default finishes in
-// seconds (fsync-per-record is the slow leg by design).
+// BSR_BENCH_ROUNDS sets the insert count; BSR_BENCH_FULL=1 raises the
+// default. The quick default finishes in seconds (fsync-per-commit is the
+// slow leg by design).
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -49,6 +60,7 @@
 #include "src/core/query_context.h"
 #include "src/core/tree_io.h"
 #include "src/core/wal.h"
+#include "src/util/simd.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -70,6 +82,8 @@ int main() {
   const uint64_t namespace_size = 1000000;
   const uint64_t inserts = env.Rounds(/*quick_default=*/1000,
                                       /*full_default=*/10000);
+  const unsigned nproc = std::thread::hardware_concurrency();
+  const char* simd_tier = simd::LevelName(simd::ActiveLevel());
 
   TreeConfig config;
   config.namespace_size = namespace_size;
@@ -106,36 +120,57 @@ int main() {
         std::string("/tmp/bsr_micro_ingest_") + spec.name + ".bst";
     std::remove(path.c_str());
     std::remove(WalPathFor(path).c_str());
+    std::remove(OldWalPathFor(path).c_str());
     BSR_CHECK(SaveTreeToFile(reference, path).ok(), "micro_ingest: save");
 
     LoadOptions heap;
     heap.mode = LoadMode::kHeap;
     auto loaded = LoadTreeFromFile(path, heap);
     BSR_CHECK(loaded.ok(), "micro_ingest: load");
-    BloomSampleTree tree = std::move(loaded).value();
-    if (spec.use_wal) {
-      WalOptions wal_options;
-      wal_options.policy = spec.policy;
-      BSR_CHECK(AttachTreeWal(&tree, path, wal_options).ok(),
-                "micro_ingest: attach wal");
-    }
+    auto tree =
+        std::make_shared<BloomSampleTree>(std::move(loaded).value());
 
-    Timer timer;
-    for (uint64_t id : fresh) {
-      BSR_CHECK(tree.Insert(id).ok(), "micro_ingest: insert");
+    if (!spec.use_wal) {
+      Timer timer;
+      for (uint64_t id : fresh) {
+        BSR_CHECK(tree->Insert(id).ok(), "micro_ingest: insert");
+      }
+      const double ingest_ms = timer.ElapsedMillis();
+      std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": "
+                  "\"ingest\", \"policy\": \"%s\", \"inserts\": %" PRIu64
+                  ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, \"m\": %" PRIu64
+                  ", \"namespace\": %" PRIu64
+                  ", \"nproc\": %u, \"simd\": \"%s\"}",
+                  first ? "" : ",\n", spec.name, inserts, ingest_ms,
+                  static_cast<double>(inserts) / (ingest_ms / 1e3), config.m,
+                  namespace_size, nproc, simd_tier);
+    } else {
+      IngestPipelineOptions options;
+      options.wal.policy = spec.policy;
+      auto opened = IngestPipeline::OpenTree(tree, path, options);
+      BSR_CHECK(opened.ok(), "micro_ingest: pipeline open");
+      std::unique_ptr<IngestPipeline> pipeline = std::move(opened).value();
+      Timer timer;
+      for (uint64_t id : fresh) {
+        WalMutation mut;
+        mut.id = id;
+        BSR_CHECK(pipeline->Push(mut).ok(), "micro_ingest: push");
+      }
+      BSR_CHECK(pipeline->Flush().ok(), "micro_ingest: flush");
+      BSR_CHECK(pipeline->Close().ok(), "micro_ingest: pipeline close");
+      const double ingest_ms = timer.ElapsedMillis();
+      const IngestPipelineStats stats = pipeline->Stats();
+      std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": "
+                  "\"queue\", \"policy\": \"%s\", \"inserts\": %" PRIu64
+                  ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, "
+                  "\"commit_groups\": %" PRIu64 ", \"fsyncs\": %" PRIu64
+                  ", \"m\": %" PRIu64 ", \"namespace\": %" PRIu64
+                  ", \"nproc\": %u, \"simd\": \"%s\"}",
+                  first ? "" : ",\n", spec.name, inserts, ingest_ms,
+                  static_cast<double>(inserts) / (ingest_ms / 1e3),
+                  stats.commit_groups, stats.fsyncs, config.m,
+                  namespace_size, nproc, simd_tier);
     }
-    if (tree.wal() != nullptr) {
-      BSR_CHECK(tree.wal()->Sync().ok(), "micro_ingest: final sync");
-    }
-    const double ingest_ms = timer.ElapsedMillis();
-
-    std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": \"ingest\", "
-                "\"policy\": \"%s\", \"inserts\": %" PRIu64
-                ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, \"m\": %" PRIu64
-                ", \"namespace\": %" PRIu64 "}",
-                first ? "" : ",\n", spec.name, inserts, ingest_ms,
-                static_cast<double>(inserts) / (ingest_ms / 1e3), config.m,
-                namespace_size);
     first = false;
 
     // Reopen cost: for WAL policies this replays every record — the
@@ -151,9 +186,9 @@ int main() {
     std::printf(",\n  {\"bench\": \"micro_ingest\", \"variant\": \"reopen\", "
                 "\"policy\": \"%s\", \"replayed\": %" PRIu64
                 ", \"open_ms\": %.3f, \"m\": %" PRIu64
-                ", \"namespace\": %" PRIu64 "}",
+                ", \"namespace\": %" PRIu64 ", \"nproc\": %u, \"simd\": \"%s\"}",
                 spec.name, info.wal_records_replayed, open_ms, config.m,
-                namespace_size);
+                namespace_size, nproc, simd_tier);
 
     std::remove(path.c_str());
     std::remove(WalPathFor(path).c_str());
@@ -243,11 +278,12 @@ int main() {
                 "\"concurrent\", \"policy\": \"%s\", \"threads\": %d, "
                 "\"readers\": %d, \"inserts\": %" PRIu64
                 ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, "
-                "\"commit_groups\": %" PRIu64 ", \"fsyncs\": %" PRIu64 "}",
+                "\"commit_groups\": %" PRIu64 ", \"fsyncs\": %" PRIu64
+                ", \"nproc\": %u, \"simd\": \"%s\"}",
                 spec.policy_name, spec.threads, spec.readers, total,
                 ingest_ms,
                 static_cast<double>(total) / (ingest_ms / 1e3),
-                stats.commit_groups, stats.fsyncs);
+                stats.commit_groups, stats.fsyncs, nproc, simd_tier);
 
     std::remove(path.c_str());
     std::remove(WalPathFor(path).c_str());

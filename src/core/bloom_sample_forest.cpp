@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/bloom/cardinality.h"
+#include "src/core/wal.h"
 #include "src/util/numa.h"
 #include "src/util/serialize.h"
 #include "src/util/xxhash64.h"
@@ -599,45 +600,22 @@ Result<BloomSampleForest> LoadForestFromFile(const std::string& path,
                            pruned_flag == 1, std::move(shards));
 }
 
-Status BloomSampleForest::Insert(uint64_t x) {
-  if (x >= config_.tree.namespace_size) {
-    return Status::OutOfRange("id beyond namespace");
-  }
-  return shards_[ShardOf(x)].Insert(x);
-}
+namespace {
 
-Status BloomSampleForest::Remove(uint64_t x) {
-  if (x >= config_.tree.namespace_size) {
-    return Status::OutOfRange("id beyond namespace");
-  }
-  return shards_[ShardOf(x)].Remove(x);
-}
-
-Status BloomSampleForest::EnableCountingLeaves() {
-  for (BloomSampleTree& shard : shards_) {
-    const Status st = shard.EnableCountingLeaves();
+/// One shard's fold: the image first, the logs only once it is durable.
+Status FoldShard(const BloomSampleTree& shard, const std::string& path,
+                 const SaveOptions& options, FileSystem* fs) {
+  Status st = SaveTreeToFile(shard, path, options);
+  for (const std::string& log : {OldWalPathFor(path), WalPathFor(path)}) {
     if (!st.ok()) return st;
+    if (!fs->FileExists(log)) continue;
+    st = fs->RemoveFile(log);
+    if (st.ok()) st = fs->SyncDirOf(log);
   }
-  return Status::OK();
+  return st;
 }
 
-Status AttachForestWals(BloomSampleForest* forest, const std::string& path,
-                        const WalOptions& wal_options,
-                        const ForestLoadInfo* info) {
-  BSR_CHECK(forest != nullptr, "AttachForestWals: null forest");
-  const uint64_t fingerprint = WalConfigFingerprint(forest->config().tree);
-  for (uint32_t s = 0; s < forest->shard_count(); ++s) {
-    const uint64_t replayed =
-        info != nullptr && s < info->shards.size()
-            ? info->shards[s].wal_records_replayed
-            : 0;
-    auto writer = WalWriter::Open(WalPathFor(ForestShardPath(path, s)),
-                                  fingerprint, replayed + 1, wal_options);
-    if (!writer.ok()) return writer.status();
-    forest->mutable_shard(s)->AttachWal(std::move(writer).value());
-  }
-  return Status::OK();
-}
+}  // namespace
 
 Status CompactForest(BloomSampleForest* forest, const std::string& path) {
   return CompactForest(forest, path, SaveOptions());
@@ -652,8 +630,7 @@ Status CompactForest(BloomSampleForest* forest, const std::string& path,
   Status st = WriteManifestDurable(*forest, path, fs);
   if (!st.ok()) return st;
   for (uint32_t s = 0; s < forest->shard_count(); ++s) {
-    st = CompactTree(forest->mutable_shard(s), ForestShardPath(path, s),
-                     options);
+    st = FoldShard(forest->shard(s), ForestShardPath(path, s), options, fs);
     if (!st.ok()) return st;
   }
   return Status::OK();

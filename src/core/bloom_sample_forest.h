@@ -89,24 +89,8 @@ class BloomSampleForest {
                                             : config_.tree.namespace_size;
   }
   const BloomSampleTree& shard(uint32_t s) const { return shards_[s]; }
-  /// Mutable shard access for ingest paths (WAL attach, compaction).
+  /// Mutable shard access for ingest paths (IngestPipeline lanes).
   BloomSampleTree* mutable_shard(uint32_t s) { return &shards_[s]; }
-
-  /// Dynamically marks `x` as occupied: one division routes it to its
-  /// shard, whose tree does the ordinary pruned Insert (logged first when
-  /// that shard has a WAL attached — see AttachForestWals). Same caveats
-  /// as BloomSampleTree::Insert: quiesce queries; per-query contexts go
-  /// stale.
-  Status Insert(uint64_t x);
-
-  /// Dynamically removes `x`: one division routes it to its shard, whose
-  /// tree does the counting-leaf Remove (kUnsupported unless
-  /// EnableCountingLeaves ran — see BloomSampleTree::Remove).
-  Status Remove(uint64_t x);
-
-  /// Opt-in delete support on every shard (BloomSampleTree's counting-
-  /// bloom leaf backend, built shard by shard).
-  Status EnableCountingLeaves();
 
   const std::shared_ptr<const HashFamily>& family_ptr() const {
     return family_;
@@ -262,22 +246,16 @@ Status SaveForestToFile(const BloomSampleForest& forest,
 /// the CLI's format sniff.
 bool IsForestManifest(const std::string& path);
 
-/// Opens (creating if absent) one sidecar log per shard — at
-/// WalPathFor(ForestShardPath(path, s)) — and attaches each to its shard
-/// tree. Call after LoadForestFromFile (whose per-shard replay counts,
-/// from `info`, seed the sequence numbers; pass nullptr for a freshly
-/// built forest with no logs yet). `wal_options` applies to every shard.
-Status AttachForestWals(BloomSampleForest* forest, const std::string& path,
-                        const WalOptions& wal_options,
-                        const ForestLoadInfo* info = nullptr);
-
-/// Forest-wide compaction. Writes the manifest FIRST (durably), then
-/// compacts every shard (CompactTree: atomic image swap, then log reset).
-/// That order keeps every crash point loadable: a shard whose compaction
-/// never ran still replays its full log, reaching exactly the in-memory
-/// state the new manifest describes; a compacted shard's image already
-/// holds it. (The loader skips its manifest-shape cross-check for shards
-/// that replayed records, since replay legitimately grows them.)
+/// Forest-wide offline compaction; no pipeline may be open on `path`
+/// (quiesce one with Close() first). Writes the manifest FIRST (durably),
+/// then folds every shard: durably rewrite its image from the in-memory
+/// shard, then remove its `.wal.old` and `.wal`. That order keeps every
+/// crash point loadable: a shard whose fold never ran still replays its
+/// full log, reaching exactly the in-memory state the new manifest
+/// describes; a folded shard's image already holds it, and replaying the
+/// full old log into the new image is a no-op (every op is idempotent).
+/// (The loader skips its manifest-shape cross-check for shards that have
+/// a log, since replay legitimately grows them.)
 Status CompactForest(BloomSampleForest* forest, const std::string& path);
 Status CompactForest(BloomSampleForest* forest, const std::string& path,
                      const SaveOptions& options);

@@ -515,13 +515,6 @@ Status BloomSampleTree::Insert(uint64_t x) {
   if (it != occupied_.end() && *it == x) {
     return Status::OK();  // already present — filters already contain x
   }
-  if (wal_ != nullptr) {
-    // Log-before-mutate: if the append (or its policy-driven fsync) fails,
-    // the tree stays exactly as it was and the caller sees the error — no
-    // acknowledged-but-unlogged state can exist.
-    const Status logged = wal_->Append(WalOp::kInsert, x);
-    if (!logged.ok()) return logged;
-  }
   occupied_.insert(it, x);
   NoteExactIndexMutation(/*inserted=*/true, x);
 
@@ -616,11 +609,6 @@ Status BloomSampleTree::Remove(uint64_t x) {
   const auto it = std::lower_bound(occupied_.begin(), occupied_.end(), x);
   if (it == occupied_.end() || *it != x) {
     return Status::OK();  // absent — idempotent, mirroring Insert
-  }
-  if (wal_ != nullptr) {
-    // Log-before-mutate, same discipline as Insert.
-    const Status logged = wal_->Append(WalOp::kRemove, x);
-    if (!logged.ok()) return logged;
   }
   occupied_.erase(it);
   NoteExactIndexMutation(/*inserted=*/false, x);

@@ -37,7 +37,6 @@
 #include "src/bloom/bloom_filter.h"
 #include "src/bloom/counting_bloom.h"
 #include "src/core/tree_config.h"
-#include "src/core/wal.h"
 #include "src/util/filter_arena.h"
 #include "src/util/op_counters.h"
 #include "src/util/status.h"
@@ -236,12 +235,10 @@ class BloomSampleTree {
   /// Dynamically marks `x` as occupied (pruned trees only): inserts x into
   /// every filter on its root-to-leaf path, creating missing nodes, and
   /// updates the occupied list. O(depth · m-bit ops + |M′|) per call; batch
-  /// rebuilds are preferable for bulk loads. With a WAL attached the
-  /// record is appended (and synced per policy) BEFORE any in-memory
-  /// mutation, so an acknowledged insert is exactly one that recovery will
-  /// replay; a failed append leaves the tree untouched. A built h_0 index
-  /// logs x as pending (or is dropped once the log passes its rebuild
-  /// point).
+  /// rebuilds are preferable for bulk loads. Nothing is logged here: a
+  /// durable insert goes through IngestPipeline, which appends and fences
+  /// the record before it calls this. A built h_0 index logs x as pending
+  /// (or is dropped once the log passes its rebuild point).
   Status Insert(uint64_t x);
 
   /// Opt-in delete support — the counting-bloom leaf backend. Builds one
@@ -255,23 +252,14 @@ class BloomSampleTree {
   bool counting_leaves() const { return counting_leaves_; }
 
   /// Dynamically removes `x` (pruned trees with counting leaves only):
-  /// logs a kRemove record (WAL attached ⇒ log-before-mutate, same
-  /// discipline as Insert), drops x from the occupied list, decrements the
-  /// leaf's counters and rewrites its bit filter from the positive-counter
-  /// pattern, then rebuilds each ancestor on the path as the exact union
-  /// of its children. Removing an absent id is a no-op (mirrors Insert's
+  /// drops x from the occupied list, decrements the leaf's counters and
+  /// rewrites its bit filter from the positive-counter pattern, then
+  /// rebuilds each ancestor on the path as the exact union of its
+  /// children. Unlogged, like Insert: IngestPipeline logs the kRemove
+  /// record first. Removing an absent id is a no-op (mirrors Insert's
   /// idempotence). Without EnableCountingLeaves() the call is refused with
   /// kUnsupported — plain Bloom leaves cannot unset bits.
   Status Remove(uint64_t x);
-
-  /// Attaches a write-ahead log: subsequent Inserts are logged before they
-  /// mutate. Attach AFTER replay (replayed records must not be re-logged).
-  /// Pass nullptr to detach. The tree owns the writer.
-  void AttachWal(std::unique_ptr<WalWriter> wal) { wal_ = std::move(wal); }
-  /// The attached log writer, or nullptr (e.g. for flushing: wal()->Sync()).
-  WalWriter* wal() const { return wal_.get(); }
-  /// Releases the writer without closing it (compaction re-seats it).
-  std::unique_ptr<WalWriter> DetachWal() { return std::move(wal_); }
 
   /// Best-effort software prefetch of node `id`'s filter payload, issued a
   /// node ahead of the intersection that will read it so the arena block's
@@ -417,9 +405,6 @@ class BloomSampleTree {
   /// Physical placement of the filter blocks (see node_layout()). Set by
   /// the snapshot loaders; freshly built trees are id-ordered.
   NodeLayout node_layout_ = NodeLayout::kIdOrder;
-  /// Write-ahead logging of Inserts; nullptr = not logging (the default —
-  /// bulk builds and read-only query serving never pay for it).
-  std::unique_ptr<WalWriter> wal_;
   /// The counting-bloom leaf backend (EnableCountingLeaves): node id of a
   /// leaf → its maintenance counters. Node ids are stable (nodes are never
   /// erased), so the map survives Insert's node creation.

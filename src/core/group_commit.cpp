@@ -111,7 +111,6 @@ Status GroupCommitWal::TryRecover() {
         "latched mid-rotation: the log's location is ambiguous, refusing "
         "automatic recovery (" + latch_cause_.ToString() + ")");
   }
-  if (wal_ == nullptr) return latch_;  // writer detached; nothing to probe
   // mu_ held throughout: no leader can start (CommitInternal fails fast on
   // latch_, and a pre-latch queued waiter needs mu_ to become leader), so
   // the writer is exclusively ours — same discipline as Rotate.

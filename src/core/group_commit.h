@@ -110,10 +110,9 @@ class GroupCommitWal {
   /// Successful fsyncs issued by the underlying writer.
   uint64_t fsync_count() const;
 
-  /// The underlying writer — for rotation/reset/close only. Callers must
-  /// have quiesced every committer first; the handle is unsynchronized.
+  /// The underlying writer — for the final close only. Callers must have
+  /// quiesced every committer first; the handle is unsynchronized.
   WalWriter* wal() const { return wal_.get(); }
-  std::unique_ptr<WalWriter> DetachWal() { return std::move(wal_); }
 
   /// Installs a freshly opened writer and clears any read-only latch —
   /// the hot-snapshot-swap hook: after a reload picked up an externally

@@ -11,6 +11,29 @@ FileSystem* FsOrDefault(FileSystem* fs) {
   return fs != nullptr ? fs : FileSystem::Default();
 }
 
+/// Rebuilds an image from an occupied-set snapshot — never reading the
+/// live slab, which may be the corruption a read-repair is replacing —
+/// and saves it durably over `path`.
+Result<BloomSampleTree> RebuildImage(const TreeConfig& config,
+                                     std::vector<uint64_t> occupied,
+                                     std::shared_ptr<const HashFamily> family,
+                                     const std::string& path,
+                                     const SaveOptions& save) {
+  auto fresh = BloomSampleTree::BuildPruned(config, std::move(occupied),
+                                            std::move(family));
+  if (!fresh.ok()) return fresh.status();
+  const Status st = SaveTreeToFile(fresh.value(), path, save);
+  if (!st.ok()) return st;
+  return fresh;
+}
+
+/// Deletes a log an image has absorbed, fenced with a directory sync.
+Status RetireLog(FileSystem* fs, const std::string& path) {
+  Status st = fs->RemoveFile(path);
+  if (st.ok()) st = fs->SyncDirOf(path);
+  return st;
+}
+
 }  // namespace
 
 IngestPipeline::IngestPipeline(IngestPipelineOptions options,
@@ -44,11 +67,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::OpenTree(
     return Status::Unsupported(
         "ingest pipeline requires a pruned tree (complete trees already "
         "store the whole namespace)");
-  }
-  if (tree->wal() != nullptr) {
-    return Status::InvalidArgument(
-        "tree already has an attached WAL; the pipeline owns the log — load "
-        "the tree without AttachTreeWal and pass the replayed count here");
   }
   const uint64_t ns = tree->config().namespace_size;
   std::unique_ptr<IngestPipeline> p(
@@ -88,11 +106,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::OpenForest(
     auto lane = std::make_unique<Lane>();
     lane->path = ForestShardPath(path, s);
     lane->tree = forest->mutable_shard(s);
-    if (lane->tree->wal() != nullptr) {
-      return Status::InvalidArgument(
-          "forest shards already have attached WALs; the pipeline owns the "
-          "logs — skip AttachForestWals and pass the load info here");
-    }
     const uint64_t next_seq =
         info != nullptr && s < info->shards.size()
             ? info->shards[s].wal_records_replayed + 1
@@ -156,10 +169,12 @@ std::shared_lock<std::shared_mutex> IngestPipeline::LockWindow(
   return std::shared_lock<std::shared_mutex>(lane.window_mu);
 }
 
-void IngestPipeline::DrainWindows(Lane* lane) {
+std::unique_lock<std::shared_mutex> IngestPipeline::FreezeWindows(
+    Lane* lane) {
   lane->drain_waiting.fetch_add(1, std::memory_order_relaxed);
-  { std::unique_lock<std::shared_mutex> drain(lane->window_mu); }
+  std::unique_lock<std::shared_mutex> frozen(lane->window_mu);
   lane->drain_waiting.fetch_sub(1, std::memory_order_relaxed);
+  return frozen;
 }
 
 Status IngestPipeline::Validate(const Lane& lane,
@@ -431,6 +446,13 @@ void IngestPipeline::SupervisorLoop() {
 
 void IngestPipeline::WriterLoop(Lane* lane) {
   std::vector<WalMutation> muts;
+  // The first failure among the mutations queued since the last Flush
+  // marker — what that marker's ack reports, so a fire-and-forget Push
+  // that was refused, NACKed or failed to apply never flushes as OK.
+  Status since_fence;
+  const auto note = [&since_fence](const Status& st) {
+    if (since_fence.ok() && !st.ok()) since_fence = st;
+  };
   while (true) {
     std::vector<Pending> batch = lane->pool.Acquire();
     if (!lane->queue->PopBatch(options_.max_batch, &batch)) {
@@ -448,6 +470,7 @@ void IngestPipeline::WriterLoop(Lane* lane) {
         const Status pre = Validate(*lane, p.mut);
         if (!pre.ok()) {
           p.skip = true;
+          note(pre);
           if (p.ack != nullptr) p.ack->set_value(pre);
           continue;
         }
@@ -468,9 +491,11 @@ void IngestPipeline::WriterLoop(Lane* lane) {
             Pending& p = batch[k];
             if (p.skip) continue;
             const Status applied = ApplyToTreeLocked(lane, p.mut);
+            note(applied);
             if (p.ack != nullptr) p.ack->set_value(applied);
           }
         } else {
+          note(st);
           for (size_t k = i; k < j; ++k) {
             Pending& p = batch[k];
             if (!p.skip && p.ack != nullptr) p.ack->set_value(st);
@@ -484,8 +509,9 @@ void IngestPipeline::WriterLoop(Lane* lane) {
         }
       }
       if (j < batch.size()) {
-        const Status fenced = lane->commit->Fence();
-        if (batch[j].ack != nullptr) batch[j].ack->set_value(fenced);
+        note(lane->commit->Fence());
+        if (batch[j].ack != nullptr) batch[j].ack->set_value(since_fence);
+        since_fence = Status::OK();
         ++j;
       }
       i = j;
@@ -512,9 +538,7 @@ Status IngestPipeline::HotSwapFromDisk(const LoadOptions& load) {
   // committer sits between its log append and its tree mutation — and no
   // new window opens — while the on-disk image ∪ log is re-read. Writes
   // stall for the reload; readers keep serving the old tree throughout.
-  lane.drain_waiting.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> window(lane.window_mu);
-  lane.drain_waiting.fetch_sub(1, std::memory_order_relaxed);
+  std::unique_lock<std::shared_mutex> window = FreezeWindows(&lane);
 
   const Status st = [&]() -> Status {
     LoadOptions opts = load;
@@ -580,17 +604,6 @@ Status IngestPipeline::TriggerCompaction() {
     prev = std::move(compaction_thread_);
   }
   if (prev.joinable()) prev.join();
-  // Check for a stale frozen log only AFTER winning the flag: an
-  // in-flight compaction has already rotated the live log to .wal.old,
-  // and reporting that as a leftover would tell the operator to reopen
-  // a healthy artifact.
-  FileSystem* fs = FsOrDefault(options_.wal.fs);
-  const std::string old_path = OldWalPathFor(lanes_[0]->path);
-  if (fs->FileExists(old_path)) {
-    compaction_running_.store(false);
-    return Status::Internal("a previous compaction left " + old_path +
-                            " behind; reopen the artifact to fold it");
-  }
   std::lock_guard<std::mutex> lock(compaction_mu_);
   compaction_thread_ = std::thread([this] {
     const Status result = CompactionBody();
@@ -620,11 +633,37 @@ Status IngestPipeline::CompactionBody() {
   Lane& lane = *lanes_[0];
   FileSystem* fs = FsOrDefault(options_.wal.fs);
   const std::string old_path = OldWalPathFor(lane.path);
+  Status st;
+
+  // 0. A crash between an earlier compaction's rotation and its step 5
+  // left that frozen log behind, and rotating over it would drop it. The
+  // live tree already holds it (OpenTree's contract: loaders replay
+  // .wal.old before .wal), so fold it first: freeze every commit→apply
+  // window as HotSwapFromDisk does — the tree is then exactly image ∪
+  // both logs — save an image rebuilt from its occupied set, and retire
+  // the stale log. The live log keeps its records; replaying them onto
+  // the new image is a no-op.
+  if (fs->FileExists(old_path)) {
+    std::unique_lock<std::shared_mutex> frozen = FreezeWindows(&lane);
+    TreeConfig config;
+    std::vector<uint64_t> occupied;
+    std::shared_ptr<const HashFamily> family;
+    {
+      std::shared_lock<std::shared_mutex> lock = LockShared(lane);
+      config = lane.tree->config();
+      occupied = lane.tree->occupied();
+      family = lane.tree->family_ptr();
+    }
+    auto image = RebuildImage(config, std::move(occupied), std::move(family),
+                              lane.path, options_.save);
+    st = image.ok() ? RetireLog(fs, old_path) : image.status();
+    if (!st.ok()) return st;
+  }
 
   // 1. Rotate FIRST, so nothing new lands in the frozen log.
   // (Snapshot-first would leave post-snapshot records stranded in the
   // rotated log.)
-  Status st = lane.commit->Rotate(old_path);
+  st = lane.commit->Rotate(old_path);
   if (!st.ok()) return st;
 
   // 2. Drain the commit→apply windows. Rotation froze the log in LOG
@@ -637,7 +676,7 @@ Status IngestPipeline::CompactionBody() {
   // opened after the rotation commit to the FRESH log and are safe on
   // either side of the snapshot: in `occupied` if applied before it,
   // else in the delta and replayable from the fresh log.
-  DrainWindows(&lane);
+  { std::unique_lock<std::shared_mutex> drained = FreezeWindows(&lane); }
 
   // 3. Snapshot the live state under a brief exclusive hold and open the
   // delta side-track: mutations applied while we build are recorded and
@@ -665,17 +704,14 @@ Status IngestPipeline::CompactionBody() {
   };
 
   // 4. Build + save with no lane locks held — ingest and queries proceed.
-  auto fresh = BloomSampleTree::BuildPruned(config, std::move(occupied),
-                                            family);
+  auto fresh = RebuildImage(config, std::move(occupied), family, lane.path,
+                            options_.save);
   if (!fresh.ok()) return abandon(fresh.status());
-  st = SaveTreeToFile(fresh.value(), lane.path, options_.save);
-  if (!st.ok()) return abandon(st);
 
   // 5. The image is durable (SaveTreeToFile fences) and is a superset of
   // .wal.old (step 2 made that true in apply order) — retire the frozen
   // log.
-  st = fs->RemoveFile(old_path);
-  if (st.ok()) st = fs->SyncDirOf(old_path);
+  st = RetireLog(fs, old_path);
   if (!st.ok()) return abandon(st);
 
   // 6. Swap under the exclusive lock: bring the fresh tree up to date

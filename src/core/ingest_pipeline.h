@@ -1,5 +1,7 @@
-// Concurrent crash-safe ingest: the layer that lets Insert/Remove run
-// under live query traffic without giving up PR 7's durability story.
+// Concurrent crash-safe ingest, and the only write path: every durable
+// Insert/Remove (bsr insert/remove, bsrd, the scrubber's read-repair) goes
+// through this layer, which lets them run under live query traffic. It is
+// the only code that appends to a `.wal` (see core/wal.h).
 //
 // Topology (one LANE per shard; a bare tree is a one-lane pipeline):
 //
@@ -36,7 +38,10 @@
 // the log into a fresh image on a background thread while readers keep
 // serving the old tree —
 //
-//     ROTATE the log (live .wal → .wal.old, fresh .wal at seq 1)
+//     FOLD a stale .wal.old first, if a crashed compaction left one:
+//     with the commit windows frozen, save an image rebuilt from the live
+//     tree and retire that log
+//   → ROTATE the log (live .wal → .wal.old, fresh .wal at seq 1)
 //   → DRAIN the commit→apply windows: a writer can be acknowledged
 //     against the pre-rotation log without having mutated the tree yet;
 //     the snapshot must absorb every record frozen into .wal.old in
@@ -150,8 +155,8 @@ class IngestPipeline {
   /// Single-tree pipeline (one lane). The pipeline takes shared ownership
   /// of `tree` — compaction swaps the live tree, so access it through
   /// AcquireRead()/tree_handle(), not a stale raw pointer. The tree must
-  /// be pruned, must NOT have its own WAL attached (the pipeline owns the
-  /// log), and replay must already have happened: pass the loader's
+  /// be pruned, and replay of both logs (`.wal.old`, then `.wal`) must
+  /// already have happened — LoadTreeFromFile does it: pass the loader's
   /// `wal_records_replayed + 1` as `next_wal_seq` (1 for a fresh tree).
   static Result<std::unique_ptr<IngestPipeline>> OpenTree(
       std::shared_ptr<BloomSampleTree> tree, std::string path,
@@ -159,9 +164,9 @@ class IngestPipeline {
 
   /// Forest pipeline: one lane per shard, mutations routed by ShardOf.
   /// Shards are borrowed — the forest must outlive the pipeline — and
-  /// background compaction is unsupported (quiesce via Close(), then
-  /// CompactForest). `info` (from LoadForestFromFile) seeds per-shard
-  /// sequence numbers; nullptr for a freshly built forest.
+  /// background compaction is unsupported (quiesce via Close(), then run
+  /// the offline CompactForest). `info` (from LoadForestFromFile) seeds
+  /// per-shard sequence numbers; nullptr for a freshly built forest.
   static Result<std::unique_ptr<IngestPipeline>> OpenForest(
       BloomSampleForest* forest, std::string path,
       const IngestPipelineOptions& options,
@@ -182,7 +187,7 @@ class IngestPipeline {
   // --- asynchronous ingest (bounded queue, backpressure) ---------------
 
   /// Enqueues fire-and-forget; returns the backpressure outcome, not the
-  /// commit outcome (watch read_only()/Flush for failures).
+  /// commit outcome — the next Flush reports that (or watch read_only()).
   Status Push(const WalMutation& mut);
 
   /// Enqueues and returns a future resolving to the mutation's commit+
@@ -192,7 +197,11 @@ class IngestPipeline {
 
   /// Barrier: waits until everything enqueued before the call is
   /// committed and applied, then fences the logs. Returns the first
-  /// failure (e.g. the latch status).
+  /// failure among the mutations each lane dequeued since its previous
+  /// Flush — a refusal before logging (out of range, remove on plain
+  /// leaves, quarantine), a NACKed commit (even if recovery has since
+  /// cleared the latch), a failed apply — or else the fence's own status.
+  /// OK means every such mutation is committed and applied.
   Status Flush();
 
   // --- read side -------------------------------------------------------
@@ -294,9 +303,10 @@ class IngestPipeline {
   // --- background compaction (single-tree pipelines) -------------------
 
   /// Starts a background compaction; kResourceExhausted when one is in
-  /// flight, kUnsupported on forest pipelines, kInternal if a previous
-  /// compaction left `<path>.wal.old` behind (reopen the artifact to fold
-  /// it).
+  /// flight (or a hot swap is), kUnsupported on forest pipelines. A
+  /// `<path>.wal.old` that a crashed compaction left behind is folded
+  /// first (CompactionBody step 0). `bsr compact` runs this on a tree,
+  /// then WaitCompaction.
   Status TriggerCompaction();
   /// Joins the background compaction (no-op if none) and returns its
   /// result.
@@ -371,9 +381,10 @@ class IngestPipeline {
   Status ApplyToTreeLocked(Lane* lane, const WalMutation& mut);
   /// Shared hold over one commit→apply window (see Lane::window_mu).
   static std::shared_lock<std::shared_mutex> LockWindow(const Lane& lane);
-  /// Blocks until every window open at call time has closed (its
-  /// mutation reached the tree). Caller must hold no lane locks.
-  static void DrainWindows(Lane* lane);
+  /// Exclusive hold over the windows: returns once every window open at
+  /// call time has closed (its mutation reached the tree), and no new one
+  /// opens while held. Caller must hold no lane locks.
+  static std::unique_lock<std::shared_mutex> FreezeWindows(Lane* lane);
   void WriterLoop(Lane* lane);
   Status CompactionBody();
   /// The recovery supervisor (one thread per pipeline): polls latched

@@ -1141,48 +1141,6 @@ Status SaveTreeToFile(const BloomSampleTree& tree, const std::string& path,
   return fs->SyncDirOf(path);
 }
 
-Status AttachTreeWal(BloomSampleTree* tree, const std::string& path,
-                     const WalOptions& wal_options, const TreeLoadInfo* info) {
-  BSR_CHECK(tree != nullptr, "AttachTreeWal: null tree");
-  const uint64_t replayed =
-      info != nullptr ? info->wal_records_replayed : 0;
-  auto writer = WalWriter::Open(WalPathFor(path),
-                                WalConfigFingerprint(tree->config()),
-                                replayed + 1, wal_options);
-  if (!writer.ok()) return writer.status();
-  tree->AttachWal(std::move(writer).value());
-  return Status::OK();
-}
-
-Status CompactTree(BloomSampleTree* tree, const std::string& path) {
-  return CompactTree(tree, path, SaveOptions());
-}
-
-Status CompactTree(BloomSampleTree* tree, const std::string& path,
-                   const SaveOptions& options) {
-  BSR_CHECK(tree != nullptr, "CompactTree: null tree");
-  Status st = SaveTreeToFile(*tree, path, options);
-  if (!st.ok()) return st;
-  // The new image is durable from here on; shrinking the logs can no
-  // longer lose anything (and a crash before the shrink just replays the
-  // old logs into the new image — pure no-ops).
-  FileSystem* fs = options.fs != nullptr ? options.fs : FileSystem::Default();
-  const std::string old_wal_path = OldWalPathFor(path);
-  if (fs->FileExists(old_wal_path)) {
-    // A rotated log a background compaction left behind: folded into the
-    // image we just wrote, so it is history now.
-    st = fs->RemoveFile(old_wal_path);
-    if (st.ok()) st = fs->SyncDirOf(old_wal_path);
-    if (!st.ok()) return st;
-  }
-  if (tree->wal() != nullptr) return tree->wal()->Reset();
-  const std::string wal_path = WalPathFor(path);
-  if (!fs->FileExists(wal_path)) return Status::OK();
-  st = fs->RemoveFile(wal_path);
-  if (!st.ok()) return st;
-  return fs->SyncDirOf(wal_path);
-}
-
 LoadOptions LoadOptions::FromEnv() {
   LoadOptions options;
   if (const char* mode = std::getenv("BSR_LOAD")) {

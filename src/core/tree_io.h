@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "src/core/bloom_sample_tree.h"
+#include "src/core/wal.h"
 #include "src/util/file_system.h"
 #include "src/util/status.h"
 
@@ -214,27 +215,6 @@ Result<BloomSampleTree> DeserializeTree(std::istream* in);
 Status SaveTreeToFile(const BloomSampleTree& tree, const std::string& path);
 Status SaveTreeToFile(const BloomSampleTree& tree, const std::string& path,
                       const SaveOptions& options);
-
-/// Folds the tree's logged inserts into the snapshot: atomically rewrites
-/// `path` from the in-memory tree (SaveTreeToFile semantics), then empties
-/// the sidecar log — via the tree's attached writer (WalWriter::Reset)
-/// when one is attached, else by removing `path + ".wal"`. Ordering makes
-/// every crash recoverable: the log only shrinks AFTER the new image is
-/// durably in place, and replaying the full old log into the new image is
-/// a no-op (Insert is idempotent). Open-after-crash therefore always
-/// yields either old image + full log or new image + empty log — the same
-/// tree either way.
-Status CompactTree(BloomSampleTree* tree, const std::string& path);
-Status CompactTree(BloomSampleTree* tree, const std::string& path,
-                   const SaveOptions& options);
-
-/// Opens (creating if absent) the sidecar log at WalPathFor(path) and
-/// attaches it to the tree, after which Inserts are logged. Call after
-/// LoadTreeFromFile — `info`'s replay count seeds the sequence numbers
-/// (pass nullptr only for a fresh tree whose log is empty or absent).
-Status AttachTreeWal(BloomSampleTree* tree, const std::string& path,
-                     const WalOptions& wal_options,
-                     const TreeLoadInfo* info = nullptr);
 
 /// Loads either format; mode/prewarm default from LoadOptions::FromEnv().
 /// `info` (optional) reports the load method, format version, layout, and

@@ -144,10 +144,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
     if (st.ok()) st = created.value()->Close();
     if (st.ok()) st = fs->SyncDirOf(path);
     if (!st.ok()) return st;
-    // Fall through to the append-mode open below: a truncate-mode
-    // descriptor tracks its own offset, so keeping it would leave a
-    // zero-filled hole after Reset() shrinks the file under it. An
-    // O_APPEND descriptor always lands at the inode's current end.
+    // Fall through to the append-mode open below: an O_APPEND descriptor
+    // always lands at the inode's current end.
   }
 
   // Whatever the file holds at open time — header plus replayed records —
@@ -201,12 +199,6 @@ Status WalWriter::MaybeSync() {
       return Status::OK();
   }
   return Status::OK();
-}
-
-Status WalWriter::Append(WalOp op, uint64_t id) {
-  const Status st = AppendNoSync(op, id);
-  if (!st.ok()) return st;
-  return MaybeSync();
 }
 
 Status WalWriter::Sync() {
@@ -276,25 +268,6 @@ Status WalWriter::Repair() {
   return Status::OK();
 }
 
-Status WalWriter::Reset() {
-  if (file_ == nullptr) {
-    return Status::Internal("wal '" + path_ +
-                            "': cannot reset a closed writer");
-  }
-  // The O_APPEND descriptor tracks the inode: after the truncate, new
-  // appends land right behind the header.
-  Status st = options_.fs->Truncate(path_, kWalHeaderBytes);
-  if (!st.ok()) return st;
-  st = file_->Sync();
-  if (!st.ok()) return st;
-  next_seq_ = 1;
-  unsynced_ = 0;
-  durable_bytes_ = kWalHeaderBytes;
-  unsynced_tail_.clear();
-  dead_ = false;
-  return Status::OK();
-}
-
 Status WalWriter::Close() {
   // A failed Repair may have dropped the descriptor already (the file is
   // closed, just not reopenable) — Close on that writer is a no-op.
@@ -360,7 +333,7 @@ Result<WalReplayStats> ReplayWal(
     if (rec.op == WalOp::kNoop) {
       // Recovery probe: mutates nothing, but counts like any record — it
       // consumed a sequence number, and records_replayed seeds the next
-      // writer's seq (AttachTreeWal passes replayed + 1).
+      // writer's seq (IngestPipeline::OpenTree takes replayed + 1).
       ++expected_seq;
       ++stats.records_replayed;
       offset += 4 + len + 8;

@@ -32,11 +32,14 @@
 // absorbed it is durable, so every crash point leaves image ∪ logs
 // complete.
 //
+// One code path appends: IngestPipeline, through GroupCommitWal. The tree
+// itself never logs.
+//
 // Sync policy is the durability/throughput dial (bench/micro_ingest.cpp
-// measures it): kEveryRecord fsyncs per append (no acknowledged insert is
-// ever lost), kInterval fsyncs every N appends (bounded loss window),
-// kNone never fsyncs (crash loses the OS-buffered tail; the tree still
-// recovers to a consistent prefix).
+// measures it): kEveryRecord fsyncs each commit before acknowledging it
+// (no acknowledged insert is ever lost), kInterval fsyncs every N appends
+// (bounded loss window), kNone never fsyncs (crash loses the OS-buffered
+// tail; the tree still recovers to a consistent prefix).
 //
 // Failure handling is fsyncgate-aware: after ANY failed append or fsync
 // the writer latches dead — it never re-fsyncs a descriptor whose dirty
@@ -110,9 +113,8 @@ std::string OldWalPathFor(const std::string& snapshot_path);
 uint64_t WalConfigFingerprint(const TreeConfig& config);
 
 /// Appends checksummed records to a log file. Single writer per log, NOT
-/// thread-safe — the tree owns its writer (BloomSampleTree::AttachWal);
-/// concurrent committers go through GroupCommitWal, which funnels every
-/// append through one leader at a time.
+/// thread-safe — GroupCommitWal owns it and funnels every append through
+/// one leader at a time.
 class WalWriter {
  public:
   /// Opens `path` for appending. A missing or header-less file is created
@@ -125,14 +127,12 @@ class WalWriter {
                                                  uint64_t next_seq,
                                                  const WalOptions& options);
 
-  /// Appends one record (assigning it the next sequence number) and syncs
-  /// per policy. On error the log tail is suspect: the writer latches dead
-  /// and every later Append fails until Repair() — but the on-disk prefix
-  /// up to the last successful sync remains replayable regardless.
-  Status Append(WalOp op, uint64_t id);
-
-  /// Appends without the policy sync — the group-commit building block:
-  /// the leader appends a whole batch, then fences once with MaybeSync().
+  /// Appends one record (assigning it the next sequence number) without
+  /// the policy sync — the group-commit building block: the leader appends
+  /// a whole batch, then fences once with MaybeSync(). On error the log
+  /// tail is suspect: the writer latches dead and every later append fails
+  /// until Repair() — but the on-disk prefix up to the last successful
+  /// sync remains replayable regardless.
   Status AppendNoSync(WalOp op, uint64_t id);
 
   /// The policy's sync decision for the current unsynced tail: kEveryRecord
@@ -161,10 +161,6 @@ class WalWriter {
   /// repaired log stays dense. Only meaningful on a dead writer; the
   /// records must still be in the unsynced tail.
   Status DropUnsyncedTailRecords(uint64_t n);
-
-  /// Empties the log back to its 32-byte header (the post-compaction
-  /// reset): truncate + fsync, sequence numbers restart at 1.
-  Status Reset();
 
   Status Close();
 

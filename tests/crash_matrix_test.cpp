@@ -3,14 +3,16 @@
 // fault-free through a FaultInjectingFileSystem to count its operations,
 // then re-runs once per kill point n — the simulated machine dies before
 // operation n takes effect — and "reboots" by reopening the surviving
-// files with the real filesystem. The invariants:
+// files with the real filesystem. Every log is written by IngestPipeline,
+// the one write path. The invariants:
 //
 //   * ingest: recovery holds EXACTLY the base set plus the acknowledged
 //     inserts (kEveryRecord policy: acknowledged == durable), bit-identical
 //     across heap and mmap reopens;
-//   * compaction: recovery always equals the full pre-compaction state,
-//     and the on-disk pair is one of {old image, any log} / {new image,
-//     any log} with the log either full or empty — never a torn image,
+//   * compaction (the pipeline's, also from a stale `.wal.old` a crashed
+//     compaction left): recovery always equals the full pre-compaction
+//     state, the image is the complete old or the complete new one —
+//     never torn — and every log on disk is one the sequence can produce,
 //     never a half-log;
 //   * save-over-existing: a save that fails (any op, including ENOSPC)
 //     leaves the old snapshot byte-identical;
@@ -66,6 +68,7 @@ std::string TempPath(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
+  std::remove((path + ".wal.old").c_str());
   std::remove((path + ".tmp").c_str());
   return path;
 }
@@ -76,6 +79,11 @@ std::string ReadFileBytes(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The file's bytes, or "" when it does not exist.
+std::string ReadIfExists(const std::string& path) {
+  return FileSystem::Default()->FileExists(path) ? ReadFileBytes(path) : "";
 }
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
@@ -116,24 +124,32 @@ TEST(CrashMatrixTest, IngestDiesAtEveryKillPoint) {
   const std::string snapshot_bytes = ReadFileBytes(path);
   const std::vector<uint64_t> extras = ExtraIds();
 
-  // The sequence under test: open the snapshot, attach a fresh log with
-  // the strictest policy, ingest. Stops at the first error, like a
-  // process whose machine just died.
+  // The sequence under test: open the snapshot, open a pipeline with a
+  // fresh log and the strictest policy, ingest one acknowledged push at a
+  // time. Stops at the first error, like a process whose machine just
+  // died.
   auto run = [&](FaultInjectingFileSystem* fs, std::vector<uint64_t>* acked) {
     LoadOptions load_options;
     load_options.fs = fs;
     TreeLoadInfo info;
     auto loaded = LoadTreeFromFile(path, load_options, &info);
     if (!loaded.ok()) return;
-    BloomSampleTree tree = std::move(loaded).value();
-    WalOptions wal_options;
-    wal_options.policy = WalSyncPolicy::kEveryRecord;
-    wal_options.fs = fs;
-    if (!AttachTreeWal(&tree, path, wal_options, &info).ok()) return;
+    IngestPipelineOptions options;
+    options.wal.policy = WalSyncPolicy::kEveryRecord;
+    options.wal.fs = fs;
+    options.commit.max_repair_attempts = 1;
+    options.commit.backoff_base = std::chrono::microseconds(1);
+    auto pipeline = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+        options, info.wal_records_replayed + 1);
+    if (!pipeline.ok()) return;
     for (uint64_t id : extras) {
-      if (!tree.Insert(id).ok()) return;
+      WalMutation mut;
+      mut.id = id;
+      if (!pipeline.value()->PushWithAck(mut).get().ok()) break;
       acked->push_back(id);
     }
+    (void)pipeline.value()->Close();  // post-crash close errors are expected
   };
 
   auto restore = [&]() {
@@ -184,97 +200,6 @@ TEST(CrashMatrixTest, IngestDiesAtEveryKillPoint) {
     auto recovered_mmap = LoadTreeFromFile(path, mmap);
     ASSERT_TRUE(recovered_mmap.ok()) << "kill=" << kill;
     ExpectTreesIdentical(recovered.value(), recovered_mmap.value());
-  }
-}
-
-TEST(CrashMatrixTest, CompactionDiesAtEveryKillPoint) {
-  const std::string path = TempPath("crash_compact.bst");
-  const std::string wal_path = WalPathFor(path);
-  const std::vector<uint64_t> extras = ExtraIds();
-
-  // Pre-state: a snapshot plus a full log of 12 ingested records.
-  {
-    auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
-    ASSERT_TRUE(built.ok());
-    BloomSampleTree tree = std::move(built).value();
-    ASSERT_TRUE(SaveTreeToFile(tree, path).ok());
-    ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions()).ok());
-    for (uint64_t id : extras) ASSERT_TRUE(tree.Insert(id).ok());
-  }
-  const std::string old_image = ReadFileBytes(path);
-  const std::string full_log = ReadFileBytes(wal_path);
-  const std::vector<uint64_t> expected =
-      SortedUnion(BaseOccupied(), extras);
-
-  auto run = [&](FaultInjectingFileSystem* fs) {
-    LoadOptions load_options;
-    load_options.fs = fs;
-    TreeLoadInfo info;
-    auto loaded = LoadTreeFromFile(path, load_options, &info);
-    if (!loaded.ok()) return;
-    BloomSampleTree tree = std::move(loaded).value();
-    WalOptions wal_options;
-    wal_options.fs = fs;
-    if (!AttachTreeWal(&tree, path, wal_options, &info).ok()) return;
-    SaveOptions save_options;
-    save_options.fs = fs;
-    (void)CompactTree(&tree, path, save_options);
-  };
-
-  auto restore = [&]() {
-    WriteFileBytes(path, old_image);
-    WriteFileBytes(wal_path, full_log);
-    std::remove((path + ".tmp").c_str());
-  };
-
-  // Fault-free run: learn the op count and capture the new image bytes
-  // (the writer is deterministic, so every run produces them bit for bit).
-  restore();
-  uint64_t total_ops = 0;
-  std::string new_image;
-  {
-    FaultInjectingFileSystem fs;
-    run(&fs);
-    total_ops = fs.op_count();
-    new_image = ReadFileBytes(path);
-    ASSERT_NE(new_image, old_image);
-    auto wal_size = FileSystem::Default()->FileSize(wal_path);
-    ASSERT_TRUE(wal_size.ok());
-    ASSERT_EQ(wal_size.value(), kWalHeaderBytes);  // compaction emptied it
-  }
-
-  for (uint64_t kill = 1; kill <= total_ops + 1; ++kill) {
-    restore();
-    FaultInjectingFileSystem fs;
-    fs.CrashAtOp(kill);
-    run(&fs);
-    if (!fs.crashed()) fs.SimulateCrash();
-
-    // Invariant 1 — the recovered tree is the full pre-compaction state,
-    // whichever side of the swap the crash landed on.
-    TreeLoadInfo info;
-    auto recovered = LoadTreeFromFile(path, LoadOptions(), &info);
-    ASSERT_TRUE(recovered.ok())
-        << "kill=" << kill << ": " << recovered.status().ToString();
-    EXPECT_EQ(recovered.value().occupied(), expected) << "kill=" << kill;
-
-    // Invariant 2 — the on-disk matrix: the image is the complete old or
-    // the complete new one (never torn), the log is full or empty (never
-    // half-truncated after its fsync fence).
-    const std::string image_now = ReadFileBytes(path);
-    EXPECT_TRUE(image_now == old_image || image_now == new_image)
-        << "kill=" << kill << ": torn image, " << image_now.size()
-        << " bytes";
-    auto wal_size = FileSystem::Default()->FileSize(wal_path);
-    ASSERT_TRUE(wal_size.ok()) << "kill=" << kill;
-    EXPECT_TRUE(wal_size.value() == full_log.size() ||
-                wal_size.value() == kWalHeaderBytes)
-        << "kill=" << kill << ": log is " << wal_size.value() << " bytes";
-    // And the old image never coexists with an emptied log — that pair
-    // would lose the ingested records.
-    EXPECT_FALSE(image_now == old_image &&
-                 wal_size.value() == kWalHeaderBytes)
-        << "kill=" << kill;
   }
 }
 
@@ -354,14 +279,17 @@ TEST(CrashMatrixTest, ForestCompactionDiesAtEveryKillPoint) {
   const std::vector<uint64_t> extras = ExtraIds();
 
   // Pre-state: a saved 2-shard forest with per-shard logs holding the
-  // ingested records.
+  // records a forest pipeline ingested.
   {
     auto built = BloomSampleForest::BuildPruned(config, BaseOccupied());
     ASSERT_TRUE(built.ok());
     BloomSampleForest forest = std::move(built).value();
     ASSERT_TRUE(SaveForestToFile(forest, path).ok());
-    ASSERT_TRUE(AttachForestWals(&forest, path, WalOptions()).ok());
-    for (uint64_t id : extras) ASSERT_TRUE(forest.Insert(id).ok());
+    auto pipeline =
+        IngestPipeline::OpenForest(&forest, path, IngestPipelineOptions());
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    for (uint64_t id : extras) ASSERT_TRUE(pipeline.value()->Insert(id).ok());
+    ASSERT_TRUE(pipeline.value()->Close().ok());
   }
   std::vector<std::string> files = {path, ForestShardPath(path, 0),
                                     ForestShardPath(path, 1),
@@ -379,9 +307,6 @@ TEST(CrashMatrixTest, ForestCompactionDiesAtEveryKillPoint) {
     auto loaded = LoadForestFromFile(path, load_options, &info);
     if (!loaded.ok()) return;
     BloomSampleForest forest = std::move(loaded).value();
-    WalOptions wal_options;
-    wal_options.fs = fs;
-    if (!AttachForestWals(&forest, path, wal_options, &info).ok()) return;
     SaveOptions save_options;
     save_options.fs = fs;
     (void)CompactForest(&forest, path, save_options);
@@ -561,83 +486,159 @@ TEST(CrashMatrixTest, ConcurrentIngestDiesAtEveryKillPoint) {
   }
 }
 
-TEST(CrashMatrixTest, PipelineCompactionDiesAtEveryKillPoint) {
-  // Background compaction's rotate → save → delete-.wal.old sequence,
-  // killed at every operation. The pre-state (image + 12-record log) must
-  // recover IN FULL at every kill point: rotation happens before the
-  // snapshot, so the frozen .wal.old is always ⊆ the new image, and the
-  // loaders replay .wal.old before .wal.
-  const std::string path = TempPath("crash_pipe_compact.bst");
-  const std::string wal_path = WalPathFor(path);
+/// Builds the compaction pre-state at `path`: the base image plus a log
+/// of every ExtraIds record written through a pipeline. With `stale`, the
+/// first half of them sits in a `.wal.old` — what a crash between a
+/// compaction's rotation and its retirement of the frozen log leaves —
+/// and the rest in a fresh `.wal`.
+void MakeCompactionPreState(const std::string& path, bool stale) {
+  auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(SaveTreeToFile(built.value(), path).ok());
   const std::vector<uint64_t> extras = ExtraIds();
-
-  {
-    auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
-    ASSERT_TRUE(built.ok());
-    BloomSampleTree tree = std::move(built).value();
-    ASSERT_TRUE(SaveTreeToFile(tree, path).ok());
-    ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions()).ok());
-    for (uint64_t id : extras) ASSERT_TRUE(tree.Insert(id).ok());
-  }
-  const std::string old_image = ReadFileBytes(path);
-  const std::string full_log = ReadFileBytes(wal_path);
-  const std::vector<uint64_t> expected = SortedUnion(BaseOccupied(), extras);
-
-  auto run = [&](FaultInjectingFileSystem* fs) {
-    LoadOptions load_options;
-    load_options.fs = fs;
+  const size_t split = stale ? extras.size() / 2 : extras.size();
+  for (const auto& [begin, end] :
+       {std::pair<size_t, size_t>{0, split}, {split, extras.size()}}) {
+    if (begin == end) continue;
     TreeLoadInfo info;
-    auto loaded = LoadTreeFromFile(path, load_options, &info);
-    if (!loaded.ok()) return;
-    IngestPipelineOptions options;
-    options.wal.fs = fs;
-    options.save.fs = fs;
-    options.commit.max_repair_attempts = 1;
-    options.commit.backoff_base = std::chrono::microseconds(1);
+    auto loaded = LoadTreeFromFile(path, LoadOptions(), &info);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     auto pipeline = IngestPipeline::OpenTree(
         std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
-        options, info.wal_records_replayed + 1);
-    if (!pipeline.ok()) return;
-    if (!pipeline.value()->TriggerCompaction().ok()) return;
-    (void)pipeline.value()->WaitCompaction();
-    (void)pipeline.value()->Close();
-  };
-
-  auto restore = [&]() {
-    WriteFileBytes(path, old_image);
-    WriteFileBytes(wal_path, full_log);
-    std::remove(OldWalPathFor(path).c_str());
-    std::remove((path + ".tmp").c_str());
-  };
-
-  restore();
-  uint64_t total_ops = 0;
-  {
-    FaultInjectingFileSystem fs;
-    run(&fs);
-    total_ops = fs.op_count();
+        IngestPipelineOptions(), info.wal_records_replayed + 1);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(pipeline.value()->Insert(extras[i]).ok());
+    }
+    ASSERT_TRUE(pipeline.value()->Close().ok());
+    if (end == split && stale) {
+      ASSERT_EQ(std::rename(WalPathFor(path).c_str(),
+                            OldWalPathFor(path).c_str()),
+                0);
+    }
   }
-  ASSERT_GT(total_ops, 0u);
+}
 
-  for (uint64_t kill = 1; kill <= total_ops + 1; ++kill) {
+TEST(CrashMatrixTest, PipelineCompactionDiesAtEveryKillPoint) {
+  // Background compaction's rotate → save → delete-.wal.old sequence,
+  // killed at every operation. The pre-state (image + 12 logged records)
+  // must recover IN FULL at every kill point: rotation happens before the
+  // snapshot, so the frozen .wal.old is always ⊆ the new image, and the
+  // loaders replay .wal.old before .wal. The stale pre-state adds the
+  // fold of a leftover .wal.old in front of that sequence.
+  for (const bool stale : {false, true}) {
+    SCOPED_TRACE(stale ? "stale .wal.old" : "one log");
+    const std::string path = TempPath(stale ? "crash_pipe_compact_stale.bst"
+                                            : "crash_pipe_compact.bst");
+    const std::string wal_path = WalPathFor(path);
+    const std::string old_wal_path = OldWalPathFor(path);
+    MakeCompactionPreState(path, stale);
+    const std::string old_image = ReadFileBytes(path);
+    const std::string pre_wal = ReadFileBytes(wal_path);
+    const std::string pre_old_wal = ReadIfExists(old_wal_path);
+    ASSERT_EQ(pre_old_wal.empty(), !stale);
+    const std::vector<uint64_t> expected =
+        SortedUnion(BaseOccupied(), ExtraIds());
+
+    auto run = [&](FaultInjectingFileSystem* fs) {
+      LoadOptions load_options;
+      load_options.fs = fs;
+      TreeLoadInfo info;
+      auto loaded = LoadTreeFromFile(path, load_options, &info);
+      if (!loaded.ok()) return;
+      IngestPipelineOptions options;
+      options.wal.fs = fs;
+      options.save.fs = fs;
+      options.commit.max_repair_attempts = 1;
+      options.commit.backoff_base = std::chrono::microseconds(1);
+      auto pipeline = IngestPipeline::OpenTree(
+          std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+          options, info.wal_records_replayed + 1);
+      if (!pipeline.ok()) return;
+      if (!pipeline.value()->TriggerCompaction().ok()) return;
+      (void)pipeline.value()->WaitCompaction();
+      (void)pipeline.value()->Close();
+    };
+
+    auto restore = [&]() {
+      WriteFileBytes(path, old_image);
+      WriteFileBytes(wal_path, pre_wal);
+      if (stale) {
+        WriteFileBytes(old_wal_path, pre_old_wal);
+      } else {
+        std::remove(old_wal_path.c_str());
+      }
+      std::remove((path + ".tmp").c_str());
+    };
+
+    // Fault-free run: learn the op count and capture the new image bytes
+    // (the build is deterministic, so every run produces them bit for
+    // bit). The frozen log is gone and the live one is header-only.
     restore();
-    FaultInjectingFileSystem fs;
-    fs.CrashAtOp(kill);
-    run(&fs);
-    if (!fs.crashed()) fs.SimulateCrash();
+    uint64_t total_ops = 0;
+    std::string new_image;
+    {
+      FaultInjectingFileSystem fs;
+      run(&fs);
+      total_ops = fs.op_count();
+      new_image = ReadFileBytes(path);
+      ASSERT_NE(new_image, old_image);
+      EXPECT_FALSE(FileSystem::Default()->FileExists(old_wal_path));
+      auto wal_size = FileSystem::Default()->FileSize(wal_path);
+      ASSERT_TRUE(wal_size.ok());
+      EXPECT_EQ(wal_size.value(), kWalHeaderBytes);
+    }
+    ASSERT_GT(total_ops, 0u);
 
-    LoadOptions heap;
-    heap.mode = LoadMode::kHeap;
-    auto recovered = LoadTreeFromFile(path, heap);
-    ASSERT_TRUE(recovered.ok())
-        << "kill=" << kill << ": " << recovered.status().ToString();
-    EXPECT_EQ(recovered.value().occupied(), expected) << "kill=" << kill;
+    for (uint64_t kill = 1; kill <= total_ops + 1; ++kill) {
+      restore();
+      FaultInjectingFileSystem fs;
+      fs.CrashAtOp(kill);
+      run(&fs);
+      if (!fs.crashed()) fs.SimulateCrash();
 
-    LoadOptions mmap;
-    mmap.mode = LoadMode::kMmap;
-    auto recovered_mmap = LoadTreeFromFile(path, mmap);
-    ASSERT_TRUE(recovered_mmap.ok()) << "kill=" << kill;
-    ExpectTreesIdentical(recovered.value(), recovered_mmap.value());
+      LoadOptions heap;
+      heap.mode = LoadMode::kHeap;
+      auto recovered = LoadTreeFromFile(path, heap);
+      ASSERT_TRUE(recovered.ok())
+          << "kill=" << kill << ": " << recovered.status().ToString();
+      EXPECT_EQ(recovered.value().occupied(), expected) << "kill=" << kill;
+
+      LoadOptions mmap;
+      mmap.mode = LoadMode::kMmap;
+      auto recovered_mmap = LoadTreeFromFile(path, mmap);
+      ASSERT_TRUE(recovered_mmap.ok()) << "kill=" << kill;
+      ExpectTreesIdentical(recovered.value(), recovered_mmap.value());
+
+      // The on-disk matrix: the image is the complete old or the complete
+      // new one (never torn). Each log is one the sequence can produce:
+      // the live log is its pre-state bytes or a fresh header, the frozen
+      // one a whole pre-state log — never half-truncated.
+      const std::string image_now = ReadFileBytes(path);
+      EXPECT_TRUE(image_now == old_image || image_now == new_image)
+          << "kill=" << kill << ": torn image, " << image_now.size()
+          << " bytes";
+      const std::string wal_now = ReadIfExists(wal_path);
+      const std::string old_wal_now = ReadIfExists(old_wal_path);
+      EXPECT_TRUE(wal_now.empty() || wal_now == pre_wal ||
+                  wal_now.size() == kWalHeaderBytes)
+          << "kill=" << kill << ": log is " << wal_now.size() << " bytes";
+      EXPECT_TRUE(old_wal_now.empty() || old_wal_now == pre_old_wal ||
+                  old_wal_now == pre_wal)
+          << "kill=" << kill << ": frozen log is " << old_wal_now.size()
+          << " bytes";
+      // And the old image never coexists with a lost log: every
+      // pre-state record is still on disk, the live log possibly rotated.
+      if (image_now == old_image) {
+        if (stale) {
+          EXPECT_TRUE(old_wal_now == pre_old_wal && wal_now == pre_wal)
+              << "kill=" << kill;
+        } else {
+          EXPECT_TRUE(wal_now == pre_wal || old_wal_now == pre_wal)
+              << "kill=" << kill;
+        }
+      }
+    }
   }
 }
 

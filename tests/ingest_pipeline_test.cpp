@@ -307,6 +307,15 @@ TEST(IngestPipelineTest, InvalidMutationsRefusedBeforeLogging) {
   WalMutation bad;
   bad.op = WalOp::kRemove;
   bad.id = 5;
+  // Both refusals pushed fire-and-forget: Push reports backpressure only,
+  // so the Flush that fences them must report the first refusal — and
+  // only once: the next Flush covers nothing that failed.
+  WalMutation out_of_range;
+  out_of_range.id = 4096;
+  EXPECT_TRUE(pipe.Push(out_of_range).ok());
+  EXPECT_TRUE(pipe.Push(bad).ok());
+  EXPECT_EQ(pipe.Flush().code(), Status::Code::kOutOfRange);
+  EXPECT_TRUE(pipe.Flush().ok());
   EXPECT_EQ(pipe.PushWithAck(bad).get().code(), Status::Code::kUnsupported);
   ASSERT_TRUE(pipe.Insert(6).ok());
   ASSERT_TRUE(pipe.Close().ok());

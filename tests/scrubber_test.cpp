@@ -332,6 +332,53 @@ TEST(ScrubberTest, LiveScrubDetectsAndReadRepairsBitIdentically) {
   simd::ForceLevel(saved);
 }
 
+TEST(ScrubberTest, StaleFrozenLogIsFoldedNotQuarantined) {
+  // A crash between a compaction's log rotation and its retirement of the
+  // frozen log leaves <path>.wal.old behind, and the reopened tree holds
+  // its records. Read-repair runs through compaction, so it must fold
+  // that log instead of refusing and quarantining a healable lane.
+  const std::string path = TempPath("scrub_stale_wal.bst");
+  {
+    auto first = IngestPipeline::OpenTree(FreshBase(path), path,
+                                          IngestPipelineOptions());
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first.value()->Insert(6).ok());
+    ASSERT_TRUE(first.value()->Close().ok());
+  }
+  ASSERT_EQ(std::rename(WalPathFor(path).c_str(),
+                        OldWalPathFor(path).c_str()),
+            0);
+  TreeLoadInfo info;
+  auto loaded = LoadTreeFromFile(path, LoadOptions(), &info);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(info.wal_old_records_replayed, 1u);
+  auto pipeline = IngestPipeline::OpenTree(
+      std::make_shared<BloomSampleTree>(std::move(loaded).value()), path,
+      IngestPipelineOptions(), info.wal_records_replayed + 1);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  IngestPipeline& pipe = *pipeline.value();
+  ASSERT_TRUE(pipe.Insert(1000).ok());
+
+  CorruptSlabChunk(path, 0);
+  Scrubber scrubber(&pipe, ScrubOptions());
+  ASSERT_TRUE(scrubber.RunPass().ok());
+  EXPECT_EQ(scrubber.stats().repairs, 1u);
+  EXPECT_EQ(scrubber.stats().quarantines, 0u);
+  EXPECT_FALSE(pipe.lane_quarantined(0));
+  EXPECT_TRUE(VerifySnapshotFile(path).ok());
+  EXPECT_FALSE(FileSystem::Default()->FileExists(OldWalPathFor(path)));
+  ASSERT_TRUE(pipe.Close().ok());
+
+  // Both logs' records survive the fold and the repair.
+  std::vector<uint64_t> expected = BaseOccupied();
+  expected.push_back(6);
+  expected.push_back(1000);
+  std::sort(expected.begin(), expected.end());
+  auto reloaded = LoadTreeFromFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().occupied(), expected);
+}
+
 TEST(ScrubberTest, BackgroundThreadHealsWithoutManualPasses) {
   const std::string path = TempPath("scrub_bg.bst");
   IngestPipelineOptions options;

@@ -11,18 +11,22 @@
 //     (config fingerprint);
 //   * compaction folds the log into the image and empties it; ingest
 //     continues seamlessly after recovery and after compaction.
+// Every log here is written the way the CLI writes one: a single producer
+// pushing onto IngestPipeline's queue, then one Flush.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/bst_reconstructor.h"
 #include "src/core/bst_sampler.h"
+#include "src/core/ingest_pipeline.h"
 #include "src/core/query_context.h"
 #include "src/core/tree_io.h"
 #include "src/core/wal.h"
@@ -60,12 +64,13 @@ std::vector<uint64_t> ExtraIds() {
 }
 
 /// TempDir() contents survive across runs; a stale snapshot or sidecar
-/// log from a previous run would pollute AttachTreeWal (it appends behind
-/// whatever the file already holds), so every path starts scrubbed.
+/// log from a previous run would pollute the pipeline's log (it appends
+/// behind whatever the file already holds), so every path starts scrubbed.
 std::string TempPath(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
+  std::remove((path + ".wal.old").c_str());
   std::remove((path + ".tmp").c_str());
   return path;
 }
@@ -108,24 +113,47 @@ void ExpectTreesIdentical(const BloomSampleTree& a, const BloomSampleTree& b) {
   }
 }
 
-/// Builds the base tree, saves it at `path`, attaches a WAL, and inserts
-/// the first `n_inserts` ExtraIds through it. Returns the in-memory tree
-/// (the "never crashed" reference).
+/// Opens a pipeline on `tree` (saved at `path`, whose current log holds
+/// `replayed` records) with the given sync policy.
+std::unique_ptr<IngestPipeline> OpenPipeline(
+    std::shared_ptr<BloomSampleTree> tree, const std::string& path,
+    WalSyncPolicy policy, uint64_t replayed = 0) {
+  IngestPipelineOptions options;
+  options.wal.policy = policy;
+  auto pipeline =
+      IngestPipeline::OpenTree(std::move(tree), path, options, replayed + 1);
+  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  return pipeline.ok() ? std::move(pipeline).value() : nullptr;
+}
+
+/// One producer: Push each id in order, then Flush once.
+void PushAll(IngestPipeline* pipeline, const std::vector<uint64_t>& ids) {
+  for (uint64_t id : ids) {
+    WalMutation mut;
+    mut.id = id;
+    EXPECT_TRUE(pipeline->Push(mut).ok());
+  }
+  EXPECT_TRUE(pipeline->Flush().ok());
+}
+
+/// Builds the base tree, saves it at `path`, and ingests the first
+/// `n_inserts` ExtraIds through a pipeline on it. Returns the in-memory
+/// tree (the "never crashed" reference).
 BloomSampleTree MakeIngestedTree(const std::string& path, size_t n_inserts,
                                  WalSyncPolicy policy) {
   auto built = BloomSampleTree::BuildPruned(GoldenConfig(), BaseOccupied());
   EXPECT_TRUE(built.ok());
-  BloomSampleTree tree = std::move(built).value();
-  EXPECT_TRUE(SaveTreeToFile(tree, path).ok());
-  WalOptions wal_options;
-  wal_options.policy = policy;
-  EXPECT_TRUE(AttachTreeWal(&tree, path, wal_options).ok());
+  EXPECT_TRUE(SaveTreeToFile(built.value(), path).ok());
+  auto tree = std::make_shared<BloomSampleTree>(std::move(built).value());
+  std::unique_ptr<IngestPipeline> pipeline = OpenPipeline(tree, path, policy);
   const std::vector<uint64_t> extras = ExtraIds();
-  for (size_t i = 0; i < n_inserts && i < extras.size(); ++i) {
-    EXPECT_TRUE(tree.Insert(extras[i]).ok());
-  }
-  EXPECT_TRUE(tree.wal()->Sync().ok());
-  return tree;
+  PushAll(pipeline.get(),
+          std::vector<uint64_t>(
+              extras.begin(),
+              extras.begin() + std::min(n_inserts, extras.size())));
+  EXPECT_TRUE(pipeline->Close().ok());
+  pipeline.reset();
+  return std::move(*tree);
 }
 
 /// Sorted base ∪ first `n` extras — the expected occupied set after a
@@ -206,6 +234,17 @@ TEST(WalTest, ReplayTruncatesAtEveryByteOffset) {
   const std::string pristine = ReadFileBytes(wal_path);
   ASSERT_EQ(pristine.size(),
             kWalHeaderBytes + ExtraIds().size() * kWalRecordBytes);
+  // The queue's single writer logs in push order, not key order: record i
+  // holds ExtraIds()[i].
+  std::vector<uint64_t> logged;
+  ASSERT_TRUE(ReplayWal(wal_path, WalConfigFingerprint(GoldenConfig()),
+                        [&](const WalRecord& rec) {
+                          EXPECT_EQ(rec.op, WalOp::kInsert);
+                          logged.push_back(rec.id);
+                          return Status::OK();
+                        })
+                  .ok());
+  EXPECT_EQ(logged, ExtraIds());
 
   for (size_t cut = 0; cut <= pristine.size(); ++cut) {
     WriteFileBytes(wal_path, pristine.substr(0, cut));
@@ -300,8 +339,12 @@ TEST(WalTest, FingerprintMismatchRefusesToReplay) {
   auto other_tree = BloomSampleTree::BuildPruned(other, BaseOccupied());
   ASSERT_TRUE(other_tree.ok());
   ASSERT_TRUE(SaveTreeToFile(other_tree.value(), other_path).ok());
-  ASSERT_TRUE(AttachTreeWal(&other_tree.value(), other_path, WalOptions()).ok());
-  ASSERT_TRUE(other_tree.value().Insert(13).ok());
+  {
+    std::unique_ptr<IngestPipeline> pipeline = OpenPipeline(
+        std::make_shared<BloomSampleTree>(std::move(other_tree).value()),
+        other_path, WalSyncPolicy::kEveryRecord);
+    PushAll(pipeline.get(), {13});
+  }
   WriteFileBytes(WalPathFor(path), ReadFileBytes(WalPathFor(other_path)));
 
   auto loaded = LoadTreeFromFile(path);
@@ -312,24 +355,31 @@ TEST(WalTest, FingerprintMismatchRefusesToReplay) {
 
 TEST(WalTest, CompactionFoldsTheLogAndIngestContinues) {
   const std::string path = TempPath("wal_compact.bst");
-  BloomSampleTree tree = MakeIngestedTree(path, 6, WalSyncPolicy::kEveryRecord);
+  MakeIngestedTree(path, 6, WalSyncPolicy::kEveryRecord);
   ASSERT_GT(FileBytes(WalPathFor(path)), kWalHeaderBytes);
 
-  ASSERT_TRUE(CompactTree(&tree, path).ok());
+  TreeLoadInfo info;
+  auto ingested = LoadTreeFromFile(path, LoadOptions(), &info);
+  ASSERT_TRUE(ingested.ok());
+  std::unique_ptr<IngestPipeline> pipeline = OpenPipeline(
+      std::make_shared<BloomSampleTree>(std::move(ingested).value()), path,
+      WalSyncPolicy::kEveryRecord, info.wal_records_replayed);
+  ASSERT_TRUE(pipeline->TriggerCompaction().ok());
+  ASSERT_TRUE(pipeline->WaitCompaction().ok());
   EXPECT_EQ(FileBytes(WalPathFor(path)), kWalHeaderBytes);
+  EXPECT_FALSE(FileSystem::Default()->FileExists(OldWalPathFor(path)));
 
   // The image now holds everything; a fresh open replays nothing.
-  TreeLoadInfo info;
   auto loaded = LoadTreeFromFile(path, LoadOptions(), &info);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(info.wal_records_replayed, 0u);
-  ExpectTreesIdentical(loaded.value(), tree);
+  ExpectTreesIdentical(loaded.value(), *pipeline->tree_handle());
 
-  // Ingest continues through the same writer after compaction.
+  // Ingest continues through the same pipeline after compaction.
   const std::vector<uint64_t> extras = ExtraIds();
-  for (size_t i = 6; i < extras.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(extras[i]).ok());
-  }
+  PushAll(pipeline.get(),
+          std::vector<uint64_t>(extras.begin() + 6, extras.end()));
+  ASSERT_TRUE(pipeline->Close().ok());
   auto reopened = LoadTreeFromFile(path, LoadOptions(), &info);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(info.wal_records_replayed, extras.size() - 6);
@@ -353,17 +403,18 @@ TEST(WalTest, IngestContinuesAfterTornTailRecovery) {
 
   // Recovery hands the tree back for writing: the new writer continues
   // the sequence right behind the surviving prefix.
-  BloomSampleTree tree = std::move(loaded).value();
-  ASSERT_TRUE(AttachTreeWal(&tree, path, WalOptions(), &info).ok());
+  auto tree = std::make_shared<BloomSampleTree>(std::move(loaded).value());
+  std::unique_ptr<IngestPipeline> pipeline = OpenPipeline(
+      tree, path, WalSyncPolicy::kEveryRecord, info.wal_records_replayed);
   const std::vector<uint64_t> extras = ExtraIds();
-  ASSERT_TRUE(tree.Insert(extras[6]).ok());
-  ASSERT_TRUE(tree.Insert(extras[7]).ok());
+  PushAll(pipeline.get(), {extras[6], extras[7]});
+  ASSERT_TRUE(pipeline->Close().ok());
 
   auto reopened = LoadTreeFromFile(path, LoadOptions(), &info);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(info.wal_records_replayed, 7u);
   EXPECT_FALSE(info.wal_recovered_corruption);
-  ExpectTreesIdentical(reopened.value(), tree);
+  ExpectTreesIdentical(reopened.value(), *tree);
 }
 
 TEST(WalTest, SyncPoliciesAllRecoverOnAHealthyDisk) {

@@ -32,10 +32,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/baselines/dictionary_attack.h"
@@ -855,225 +853,104 @@ void PrintLaneStatusLines(const IngestPipelineStats& stats) {
   }
 }
 
-/// Concurrent ingest through the IngestPipeline: `threads` writers share
-/// fsyncs via leader–follower group commit, so `--sync every` keeps its
-/// per-record durability guarantee at a fraction of the fsync count. Used
-/// by `bsr insert --threads T` (T > 1).
-Status RunPipelineInsert(IngestPipeline* pipeline,
-                         const std::vector<uint64_t>& ids, uint64_t threads) {
-  std::mutex mu;
-  Status first;
-  std::vector<std::thread> writers;
-  for (uint64_t t = 0; t < threads; ++t) {
-    writers.emplace_back([&, t] {
-      for (size_t i = t; i < ids.size(); i += threads) {
-        const Status st = pipeline->Insert(ids[i]);
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first.ok()) first = st;
-          return;
-        }
-      }
-    });
+/// Pushes `op` for every id onto the pipeline's queue, flushes once and
+/// closes it, returning the first failure any of the three reports.
+/// Removes enable the counting-bloom leaves first: plain Bloom filters
+/// cannot unset bits, snapshots do not persist the counters, and replay
+/// re-enables them when it meets the first kRemove record.
+Status PushAll(IngestPipeline* pipeline, WalOp op,
+               const std::vector<uint64_t>& ids, IngestPipelineStats* stats) {
+  Status st = op == WalOp::kRemove ? pipeline->EnableCountingLeaves()
+                                   : Status::OK();
+  for (size_t i = 0; st.ok() && i < ids.size(); ++i) {
+    WalMutation mut;
+    mut.op = op;
+    mut.id = ids[i];
+    st = pipeline->Push(mut);
   }
-  for (auto& w : writers) w.join();
-  return first;
+  const Status flushed = pipeline->Flush();
+  if (st.ok()) st = flushed;
+  *stats = pipeline->Stats();
+  PrintLaneStatusLines(*stats);
+  const Status closed = pipeline->Close();
+  return st.ok() ? closed : st;
+}
+
+/// `bsr insert` and `bsr remove`: opens one pipeline on the tree or forest
+/// at --tree — the write path bsrd and the scrubber use — and runs PushAll
+/// through it. The snapshot image is left untouched: every mutation is
+/// acknowledged only once its record is in the sidecar log (per --sync),
+/// and the next open replays the log; `bsr compact` folds it back in.
+Status RunIngest(const Flags& flags, WalOp op) {
+  auto tree_path = flags.Require("tree");
+  if (!tree_path.ok()) return tree_path.status();
+  auto ids_path = flags.Require("ids");
+  if (!ids_path.ok()) return ids_path.status();
+  auto wal_options = ParseWalFlags(flags);
+  if (!wal_options.ok()) return wal_options.status();
+  auto ids = ReadIdFile(ids_path.value());
+  if (!ids.ok()) return ids.status();
+
+  const std::string& path = tree_path.value();
+  IngestPipelineOptions options;
+  options.wal = wal_options.value();
+  Timer timer;
+  uint64_t before = 0;
+  uint64_t after = 0;
+  IngestPipelineStats stats;
+  Status st;
+  if (IsForestManifest(path)) {
+    ForestLoadInfo info;
+    auto forest = LoadForestForCli(flags, path, &info);
+    if (!forest.ok()) return forest.status();
+    auto pipeline =
+        IngestPipeline::OpenForest(&forest.value(), path, options, &info);
+    if (!pipeline.ok()) return pipeline.status();
+    before = forest.value().occupied_count();
+    st = PushAll(pipeline.value().get(), op, ids.value(), &stats);
+    after = forest.value().occupied_count();
+  } else {
+    TreeLoadInfo info;
+    auto tree = LoadTreeForCli(flags, path, &info);
+    if (!tree.ok()) return tree.status();
+    before = tree.value().occupied().size();
+    auto pipeline = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(tree).value()), path,
+        options, info.wal_records_replayed + 1);
+    if (!pipeline.ok()) return pipeline.status();
+    st = PushAll(pipeline.value().get(), op, ids.value(), &stats);
+    after = pipeline.value()->tree_handle()->occupied().size();
+  }
+  if (!st.ok()) return st;
+
+  const size_t n = ids.value().size();
+  const auto changed = static_cast<unsigned long long>(
+      op == WalOp::kRemove ? before - after : after - before);
+  const auto unchanged = static_cast<unsigned long long>(n) - changed;
+  const char* sync = WalSyncPolicyName(options.wal.policy);
+  if (op == WalOp::kRemove) {
+    std::printf("removed %llu of %zu ids (%llu were absent) in %.2f ms via "
+                "the ingest pipeline (sync=%s, counting-bloom leaves) -> "
+                "%s\n",
+                changed, n, unchanged, timer.ElapsedMillis(), sync,
+                path.c_str());
+  } else {
+    std::printf("ingested %zu ids (%llu new, %llu already present) in %.2f "
+                "ms via the ingest pipeline (sync=%s, %llu commit groups, "
+                "%llu fsyncs) -> %s\n",
+                n, changed, unchanged, timer.ElapsedMillis(), sync,
+                static_cast<unsigned long long>(stats.commit_groups),
+                static_cast<unsigned long long>(stats.fsyncs), path.c_str());
+  }
+  return Status::OK();
 }
 
 Status CmdInsert(const Flags& flags) {
-  auto tree_path = flags.Require("tree");
-  if (!tree_path.ok()) return tree_path.status();
-  auto ids_path = flags.Require("ids");
-  if (!ids_path.ok()) return ids_path.status();
-  auto wal_options = ParseWalFlags(flags);
-  if (!wal_options.ok()) return wal_options.status();
-  auto threads = flags.GetU64("threads", 1);
-  if (!threads.ok()) return threads.status();
-  if (threads.value() == 0) {
-    threads = static_cast<uint64_t>(std::thread::hardware_concurrency());
-  }
-  auto ids = ReadIdFile(ids_path.value());
-  if (!ids.ok()) return ids.status();
-
-  // The snapshot image is left untouched: every insert is acknowledged
-  // only once its record is in the sidecar log (per --sync policy), and
-  // the next open replays the log. `bsr compact` folds the log back in.
-  Timer timer;
-  uint64_t before = 0;
-  uint64_t after = 0;
-  if (threads.value() > 1) {
-    // Concurrent path: writer threads share fsyncs through group commit.
-    IngestPipelineOptions options;
-    options.wal = wal_options.value();
-    IngestPipelineStats stats;
-    if (IsForestManifest(tree_path.value())) {
-      ForestLoadInfo info;
-      auto forest = LoadForestForCli(flags, tree_path.value(), &info);
-      if (!forest.ok()) return forest.status();
-      auto pipeline = IngestPipeline::OpenForest(&forest.value(),
-                                                 tree_path.value(), options,
-                                                 &info);
-      if (!pipeline.ok()) return pipeline.status();
-      before = forest.value().occupied_count();
-      const Status ran = RunPipelineInsert(pipeline.value().get(),
-                                           ids.value(), threads.value());
-      stats = pipeline.value()->Stats();
-      PrintLaneStatusLines(stats);
-      const Status closed = pipeline.value()->Close();
-      if (!ran.ok()) return ran;
-      if (!closed.ok()) return closed;
-      after = forest.value().occupied_count();
-    } else {
-      TreeLoadInfo info;
-      auto loaded = LoadTreeForCli(flags, tree_path.value(), &info);
-      if (!loaded.ok()) return loaded.status();
-      auto tree =
-          std::make_shared<BloomSampleTree>(std::move(loaded).value());
-      before = tree->occupied().size();
-      auto pipeline = IngestPipeline::OpenTree(
-          tree, tree_path.value(), options, info.wal_records_replayed + 1);
-      if (!pipeline.ok()) return pipeline.status();
-      const Status ran = RunPipelineInsert(pipeline.value().get(),
-                                           ids.value(), threads.value());
-      stats = pipeline.value()->Stats();
-      PrintLaneStatusLines(stats);
-      const Status closed = pipeline.value()->Close();
-      if (!ran.ok()) return ran;
-      if (!closed.ok()) return closed;
-      after = pipeline.value()->tree_handle()->occupied().size();
-    }
-    std::printf(
-        "ingested %zu ids (%llu new, %llu already present) in %.2f ms via "
-        "%llu writers (sync=%s, %llu commit groups, %llu fsyncs) -> %s\n",
-        ids.value().size(), static_cast<unsigned long long>(after - before),
-        static_cast<unsigned long long>(ids.value().size() -
-                                        (after - before)),
-        timer.ElapsedMillis(),
-        static_cast<unsigned long long>(threads.value()),
-        WalSyncPolicyName(wal_options.value().policy),
-        static_cast<unsigned long long>(stats.commit_groups),
-        static_cast<unsigned long long>(stats.fsyncs),
-        tree_path.value().c_str());
-    return Status::OK();
-  }
-  if (IsForestManifest(tree_path.value())) {
-    ForestLoadInfo info;
-    auto forest = LoadForestForCli(flags, tree_path.value(), &info);
-    if (!forest.ok()) return forest.status();
-    const Status attached = AttachForestWals(&forest.value(), tree_path.value(),
-                                             wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    before = forest.value().occupied_count();
-    for (uint64_t id : ids.value()) {
-      const Status inserted = forest.value().Insert(id);
-      if (!inserted.ok()) return inserted;
-    }
-    after = forest.value().occupied_count();
-    // kInterval/kNone buffer in the page cache; one final fsync per shard
-    // makes the whole batch durable before the command reports success.
-    for (uint32_t s = 0; s < forest.value().shard_count(); ++s) {
-      BloomSampleTree* shard = forest.value().mutable_shard(s);
-      if (shard->wal() != nullptr) {
-        const Status synced = shard->wal()->Sync();
-        if (!synced.ok()) return synced;
-      }
-    }
-  } else {
-    TreeLoadInfo info;
-    auto tree = LoadTreeForCli(flags, tree_path.value(), &info);
-    if (!tree.ok()) return tree.status();
-    const Status attached = AttachTreeWal(&tree.value(), tree_path.value(),
-                                          wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    before = tree.value().occupied().size();
-    for (uint64_t id : ids.value()) {
-      const Status inserted = tree.value().Insert(id);
-      if (!inserted.ok()) return inserted;
-    }
-    after = tree.value().occupied().size();
-    const Status synced = tree.value().wal()->Sync();
-    if (!synced.ok()) return synced;
-  }
-  std::printf("ingested %zu ids (%llu new, %llu already present) in %.2f ms "
-              "via wal (sync=%s) -> %s\n",
-              ids.value().size(),
-              static_cast<unsigned long long>(after - before),
-              static_cast<unsigned long long>(ids.value().size() -
-                                              (after - before)),
-              timer.ElapsedMillis(),
-              WalSyncPolicyName(wal_options.value().policy),
-              tree_path.value().c_str());
-  return Status::OK();
+  return RunIngest(flags, WalOp::kInsert);
 }
 
 Status CmdRemove(const Flags& flags) {
-  auto tree_path = flags.Require("tree");
-  if (!tree_path.ok()) return tree_path.status();
-  auto ids_path = flags.Require("ids");
-  if (!ids_path.ok()) return ids_path.status();
-  auto wal_options = ParseWalFlags(flags);
-  if (!wal_options.ok()) return wal_options.status();
-  auto ids = ReadIdFile(ids_path.value());
-  if (!ids.ok()) return ids.status();
-
-  // Plain Bloom filters cannot unset bits, so removes need the counting-
-  // bloom leaf backend. Snapshots do not persist it; enabling it here
-  // rebuilds exact per-leaf counters from the occupied set, and replay
-  // auto-enables it again when it meets the first kRemove record.
-  Timer timer;
-  uint64_t before = 0;
-  uint64_t after = 0;
-  if (IsForestManifest(tree_path.value())) {
-    ForestLoadInfo info;
-    auto forest = LoadForestForCli(flags, tree_path.value(), &info);
-    if (!forest.ok()) return forest.status();
-    const Status attached = AttachForestWals(&forest.value(),
-                                             tree_path.value(),
-                                             wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    const Status counting = forest.value().EnableCountingLeaves();
-    if (!counting.ok()) return counting;
-    before = forest.value().occupied_count();
-    for (uint64_t id : ids.value()) {
-      const Status removed = forest.value().Remove(id);
-      if (!removed.ok()) return removed;
-    }
-    after = forest.value().occupied_count();
-    for (uint32_t s = 0; s < forest.value().shard_count(); ++s) {
-      BloomSampleTree* shard = forest.value().mutable_shard(s);
-      if (shard->wal() != nullptr) {
-        const Status synced = shard->wal()->Sync();
-        if (!synced.ok()) return synced;
-      }
-    }
-  } else {
-    TreeLoadInfo info;
-    auto tree = LoadTreeForCli(flags, tree_path.value(), &info);
-    if (!tree.ok()) return tree.status();
-    const Status attached = AttachTreeWal(&tree.value(), tree_path.value(),
-                                          wal_options.value(), &info);
-    if (!attached.ok()) return attached;
-    const Status counting = tree.value().EnableCountingLeaves();
-    if (!counting.ok()) return counting;
-    before = tree.value().occupied().size();
-    for (uint64_t id : ids.value()) {
-      const Status removed = tree.value().Remove(id);
-      if (!removed.ok()) return removed;
-    }
-    after = tree.value().occupied().size();
-    const Status synced = tree.value().wal()->Sync();
-    if (!synced.ok()) return synced;
-  }
-  std::printf("removed %llu of %zu ids (%llu were absent) in %.2f ms via "
-              "wal (sync=%s, counting-bloom leaves) -> %s\n",
-              static_cast<unsigned long long>(before - after),
-              ids.value().size(),
-              static_cast<unsigned long long>(ids.value().size() -
-                                              (before - after)),
-              timer.ElapsedMillis(),
-              WalSyncPolicyName(wal_options.value().policy),
-              tree_path.value().c_str());
-  return Status::OK();
+  return RunIngest(flags, WalOp::kRemove);
 }
 
 Status VerifyOneSnapshot(const std::string& path) {
@@ -1124,6 +1001,9 @@ Status CmdVerify(const Flags& flags) {
   return first;
 }
 
+/// A tree compacts through the pipeline's background compaction — the
+/// one bsrd and the scrubber run, which also folds a `.wal.old` a crashed
+/// compaction left behind. A forest keeps the offline CompactForest.
 Status CmdCompact(const Flags& flags) {
   auto tree_path = flags.Require("tree");
   if (!tree_path.ok()) return tree_path.status();
@@ -1134,24 +1014,26 @@ Status CmdCompact(const Flags& flags) {
     ForestLoadInfo info;
     auto forest = LoadForestForCli(flags, tree_path.value(), &info);
     if (!forest.ok()) return forest.status();
-    const Status attached = AttachForestWals(&forest.value(), tree_path.value(),
-                                             WalOptions(), &info);
-    if (!attached.ok()) return attached;
     const Status compacted = CompactForest(&forest.value(), tree_path.value());
     if (!compacted.ok()) return compacted;
     for (const TreeLoadInfo& shard : info.shards) {
-      replayed += shard.wal_records_replayed;
+      replayed += shard.wal_records_replayed + shard.wal_old_records_replayed;
     }
   } else {
     TreeLoadInfo info;
     auto tree = LoadTreeForCli(flags, tree_path.value(), &info);
     if (!tree.ok()) return tree.status();
-    const Status attached = AttachTreeWal(&tree.value(), tree_path.value(),
-                                          WalOptions(), &info);
-    if (!attached.ok()) return attached;
-    const Status compacted = CompactTree(&tree.value(), tree_path.value());
-    if (!compacted.ok()) return compacted;
-    replayed = info.wal_records_replayed;
+    auto pipeline = IngestPipeline::OpenTree(
+        std::make_shared<BloomSampleTree>(std::move(tree).value()),
+        tree_path.value(), IngestPipelineOptions(),
+        info.wal_records_replayed + 1);
+    if (!pipeline.ok()) return pipeline.status();
+    Status st = pipeline.value()->TriggerCompaction();
+    if (st.ok()) st = pipeline.value()->WaitCompaction();
+    const Status closed = pipeline.value()->Close();
+    if (!st.ok()) return st;
+    if (!closed.ok()) return closed;
+    replayed = info.wal_records_replayed + info.wal_old_records_replayed;
   }
   std::printf("compacted %s: folded %llu wal records into the image in "
               "%.2f ms; log is empty\n",
@@ -1369,22 +1251,23 @@ commands:
                                          it is acknowledged)
                [--interval N]           (records per fsync for --sync
                                          interval; default 64)
-               [--threads T]            (T > 1: concurrent writers through
-                                         the ingest pipeline — group
-                                         commit shares fsyncs, so --sync
-                                         every keeps per-record durability
-                                         at a fraction of the fsync count;
-                                         0 = all cores)
+               Queues every id on the ingest pipeline (the write path bsrd
+               uses; one group commit per drained batch) and flushes once;
+               fails if any id is refused (e.g. outside the namespace).
                Appends to the sidecar write-ahead log (T.bst.wal); the
                snapshot image is untouched and the next open replays the
                log. Works on forest manifests (per-shard logs).
   remove       --tree T.bst --ids ids.txt
                [--sync every|interval|none] [--interval N]
-               Logs kRemove records and deletes through the counting-bloom
-               leaf backend (enabled on load: exact counters rebuilt from
-               the occupied set; plain Bloom leaves cannot unset bits).
+               Logs kRemove records through the same pipeline and deletes
+               through the counting-bloom leaf backend (enabled on load:
+               exact counters rebuilt from the occupied set; plain Bloom
+               leaves cannot unset bits).
   compact      --tree T.bst             (fold the wal into the image
-                                         atomically and empty the log)
+                                         atomically and empty the log:
+                                         trees run the pipeline's
+                                         compaction, forests an offline
+                                         fold of every shard)
   verify       --tree T.bst             (offline integrity walk: metadata
                                          digests, then the slab chunk by
                                          chunk; forest manifests verify
@@ -1471,8 +1354,7 @@ int Main(int argc, char** argv) {
   } else if (command == "query") {
     status = run({"tree", "filter", "id"}, load_flags, CmdQuery);
   } else if (command == "insert") {
-    status = run({"tree", "ids", "sync", "interval", "threads"}, load_flags,
-                 CmdInsert);
+    status = run({"tree", "ids", "sync", "interval"}, load_flags, CmdInsert);
   } else if (command == "remove") {
     status = run({"tree", "ids", "sync", "interval"}, load_flags, CmdRemove);
   } else if (command == "compact") {
