@@ -4,7 +4,8 @@
 // Output: a JSON array on stdout; one record per configuration:
 //   {"bench": "micro_query",
 //    "variant": "sample" | "sample_warm" | "batch" | "reconstruct" |
-//               "reconstruct_warm",
+//               "reconstruct_warm" | "reconstruct_pruned" |
+//               "sample_pruned_warm",
 //    "kernel": "dense" | "sparse", "m": <filter bits>, "namespace": <M>,
 //    "threads": <n>, "batch_size": <draws per engine call>,
 //    "ns_per_sample" | "ns_per_element": <double>,
@@ -21,7 +22,7 @@
 //     the first descent fills the EstimateCache/leaf cache, every later
 //     draw is O(depth) on cached weights. Kernel intersections collapse
 //     to the unique nodes touched; the rest surface as cache hits.
-//   * batch — SampleBatch: all draws in one level-synchronous descent on
+//   * batch — SampleBatch: all draws in one batched descent on
 //     counter-based per-draw RNG streams, at query_threads 1 and hardware
 //     concurrency. "identical" records that the batch equals the serial
 //     per-stream reference draw for draw.
@@ -44,6 +45,12 @@
 //     cold pass — what a one-shot `bsr reconstruct --exact` pays. The
 //     build is the tree's first exact query minus the uniform row's cold
 //     pass.
+//   * sample_pruned_warm — the pass bsrd serves for a pooled filter (the
+//     e2e sample_hot workload): SampleBatchPrepared of 64 draws on a
+//     context three earlier batches warmed, on the same pruned trees and
+//     queries as reconstruct_pruned. Reports the median µs per call;
+//     "identical" records that every timed call drew exactly what a fresh
+//     context draws.
 //
 // BSR_BENCH_FULL=1 raises the round counts; the quick default finishes in
 // well under a minute.
@@ -208,6 +215,59 @@ double TimeTraversalUs(BloomSampleTree& tree, const BloomFilter& query,
   return MedianOf(us);
 }
 
+/// SampleBatchPrepared of 64 draws on `ctx`, draw i on
+/// Rng::ForStream(seed, i) — one served SAMPLE(64).
+std::vector<std::optional<uint64_t>> Prepared64(const BstSampler& sampler,
+                                                QueryContext* ctx,
+                                                uint64_t seed, double* us) {
+  std::vector<BstSampler::PreparedDraw> draws;
+  draws.reserve(64);
+  for (uint32_t i = 0; i < 64; ++i) {
+    draws.push_back({i, Rng::ForStream(seed, i)});
+  }
+  std::vector<std::optional<uint64_t>> out(64);
+  Timer timer;
+  sampler.SampleBatchPrepared(ctx, std::move(draws), nullptr, &out);
+  if (us != nullptr) *us = timer.ElapsedSeconds() * 1e6;
+  return out;
+}
+
+/// One sample_pruned_warm row (see the header).
+void RunPrunedWarmSample(const bloomsample::bench::Env& env,
+                         const BloomSampleTree& tree, const BloomFilter& query,
+                         bool clustered, size_t occupied) {
+  const BstSampler sampler(&tree);
+  QueryContext warm(tree, query);
+  for (uint64_t earlier = 0; earlier < 3; ++earlier) {
+    (void)Prepared64(sampler, &warm, env.seed + earlier, nullptr);
+  }
+  const int reps = static_cast<int>(env.Rounds(/*quick=*/200, /*full=*/2000));
+  std::vector<double> us(static_cast<size_t>(reps));
+  std::vector<std::vector<std::optional<uint64_t>>> drawn;
+  for (int rep = 0; rep < reps; ++rep) {
+    drawn.push_back(Prepared64(sampler, &warm, env.seed + 100 + rep,
+                               &us[static_cast<size_t>(rep)]));
+  }
+  // Checked after the timed loop: a fresh context's cold pass would
+  // evict the warm one's working set between calls.
+  bool identical = true;
+  for (int rep = 0; rep < reps; ++rep) {
+    QueryContext fresh(tree, query);
+    identical &= Prepared64(sampler, &fresh, env.seed + 100 + rep, nullptr) ==
+                 drawn[static_cast<size_t>(rep)];
+  }
+  std::printf(
+      ",\n  {\"bench\": \"micro_query\", \"variant\": "
+      "\"sample_pruned_warm\", \"query\": \"%s\", \"nproc\": %u, "
+      "\"simd\": \"%s\", \"m\": %" PRIu64 ", \"namespace\": %" PRIu64
+      ", \"occupied\": %zu, \"depth\": %u, \"batch_size\": 64"
+      ", \"calls\": %d, \"us_per_call\": %.2f, \"identical\": %s}",
+      clustered ? "clustered" : "uniform", Nproc(),
+      simd::LevelName(simd::ActiveLevel()), tree.config().m,
+      tree.config().namespace_size, occupied, tree.config().depth, reps,
+      MedianOf(us), identical ? "true" : "false");
+}
+
 /// The reconstruct_pruned rows for one namespace size (see the header).
 void RunPrunedExact(const bloomsample::bench::Env& env,
                     uint64_t namespace_size, uint32_t parallel_threads) {
@@ -298,6 +358,7 @@ void RunPrunedExact(const bloomsample::bench::Env& env,
         MedianOf(warm), build_ms * 1e3 + cold_us,
         cold_counters.membership_queries, serial_us, parallel_threads,
         parallel_us, identical ? "true" : "false");
+    RunPrunedWarmSample(env, tree, query, clustered, occupied.size());
   }
 }
 

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/bloom/cardinality.h"
 #include "src/core/wal.h"
 #include "src/util/numa.h"
 #include "src/util/serialize.h"
@@ -189,24 +188,12 @@ ForestQueryContext::ForestQueryContext(const BloomSampleForest& forest,
 
 double ForestQueryContext::RootWeight(uint32_t s,
                                       OpCounters* counters) const {
-  const BloomSampleTree& tree = forest_->shard(s);
-  const int64_t root = tree.root();
-  if (root == BloomSampleTree::kNoNode) return 0.0;
   const QueryContext& ctx = *contexts_[s];
   if (ctx.query_bits() == 0) return 0.0;
-  // ChildEstimate's arithmetic, applied to the shard root: the virtual
-  // S-ary super-root weighs its children exactly as a binary descent step
-  // weighs a pair — same lossless t∧ < k cut, same Papapetrou correction,
-  // same optional threshold and 0.5 noise floor.
-  const BloomSampleTree::Node& node = tree.node(root);
-  const uint64_t t_and = ctx.AndPopcount(root, counters);
-  if (t_and < node.filter.k()) return 0.0;
-  const double estimate = EstimateIntersectionFromBits(
-      node.set_bits, ctx.query_bits(), t_and, node.filter.m(),
-      node.filter.k());
-  const double threshold = tree.config().intersection_threshold;
-  if (threshold > 0.0 && estimate < threshold) return 0.0;
-  return estimate > 0.5 ? estimate : 0.5;
+  // The virtual S-ary super-root weighs its children exactly as a binary
+  // descent step weighs a pair — same lossless t∧ < k cut, same Papapetrou
+  // correction, same optional threshold and 0.5 noise floor.
+  return BstSampler::ChildEstimate(ctx, forest_->shard(s).root(), counters);
 }
 
 const FenwickTree& ForestQueryContext::ShardWeights(
@@ -605,14 +592,9 @@ namespace {
 /// One shard's fold: the image first, the logs only once it is durable.
 Status FoldShard(const BloomSampleTree& shard, const std::string& path,
                  const SaveOptions& options, FileSystem* fs) {
-  Status st = SaveTreeToFile(shard, path, options);
-  for (const std::string& log : {OldWalPathFor(path), WalPathFor(path)}) {
-    if (!st.ok()) return st;
-    if (!fs->FileExists(log)) continue;
-    st = fs->RemoveFile(log);
-    if (st.ok()) st = fs->SyncDirOf(log);
-  }
-  return st;
+  const Status st = SaveTreeToFile(shard, path, options);
+  if (!st.ok()) return st;
+  return RetireLogs(fs, path);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "src/core/bst_reconstructor.h"
 
-#include "src/bloom/cardinality.h"
-
 namespace bloomsample {
 
 bool BstReconstructor::NodePasses(int64_t id, const QueryContext& ctx,
@@ -9,24 +7,19 @@ bool BstReconstructor::NodePasses(int64_t id, const QueryContext& ctx,
                                   OpCounters* counters) const {
   CountNodeVisit(counters);
 
-  // Lossless emptiness test (see bst_sampler.cpp): every member of
-  // S ∪ S(B) inside this range forces k shared bits, so pruning below k
+  // Lossless emptiness test (see QueryContext::NodeEstimate): every member
+  // of S ∪ S(B) inside this range forces k shared bits, so pruning below k
   // can never drop an element and kExact stays exactly DictionaryAttack.
-  // t∧ comes from the context's EstimateCache — one kernel per (node,
-  // query) across every Reconstruct/Sample call on this context.
-  const BloomSampleTree::Node& node = tree_->node(id);
-  const uint64_t t_and = ctx.AndPopcount(id, counters);
-  if (t_and < node.filter.k()) return false;
-  if (mode == PruningMode::kThresholded) {
-    const double threshold = tree_->config().intersection_threshold;
-    if (threshold > 0.0) {
-      const double estimate = EstimateIntersectionFromBits(
-          node.set_bits, ctx.query_bits(), t_and, node.filter.m(),
-          node.filter.k());
-      if (estimate < threshold) return false;
-    }
+  // t∧ and the estimate come from the context's EstimateCache — one
+  // kernel per (node, query) across every Reconstruct/Sample call on this
+  // context.
+  if (mode == PruningMode::kExact) {
+    return ctx.AndPopcount(id, counters) >= tree_->node(id).filter.k();
   }
-  return true;
+  const double estimate = ctx.NodeEstimate(id, counters);
+  if (estimate < 0.0) return false;
+  const double threshold = tree_->config().intersection_threshold;
+  return !(threshold > 0.0 && estimate < threshold);
 }
 
 void BstReconstructor::TraverseSubtree(int64_t id, const QueryContext& ctx,

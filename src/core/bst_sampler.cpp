@@ -2,35 +2,24 @@
 
 #include <algorithm>
 
-#include "src/bloom/cardinality.h"
-
 namespace bloomsample {
 
-double BstSampler::ChildEstimate(int64_t child, const QueryContext& ctx,
-                                 OpCounters* counters) const {
+double BstSampler::ChildEstimate(const QueryContext& ctx, int64_t child,
+                                 OpCounters* counters) {
   if (child == BloomSampleTree::kNoNode) return 0.0;
-  const BloomSampleTree::Node& node = tree_->node(child);
-  // Node t1 comes from the builder-maintained cache, query t2 from the
-  // view, t∧ from the context's EstimateCache — against a warm context
-  // this whole function touches no filter words at all.
-  const uint64_t t_and = ctx.AndPopcount(child, counters);
-
-  // Lossless emptiness test: any element of S ∪ S(B) inside this node's
-  // range has all k of its bits set in BOTH filters, so a subtree that can
-  // still produce a sample always shows t∧ >= k. Pruning below k shared
-  // bits can never starve a real positive — it strictly dominates the
-  // naive "AND is all-zero" test. (Empirically, thresholding on the
-  // *estimated* intersection size instead loses elements wholesale at the
-  // paper's default parameters; see bench/ablation_threshold.)
-  if (t_and < node.filter.k()) return 0.0;
-
-  const double estimate = EstimateIntersectionFromBits(
-      node.set_bits, ctx.query_bits(), t_and, node.filter.m(),
-      node.filter.k());
+  // Against a warm context the estimate is one load. Its cut below k
+  // shared bits (kPruned) can never starve a real positive and strictly
+  // dominates the naive "AND is all-zero" test. (Empirically,
+  // thresholding on the *estimated* intersection size instead loses
+  // elements wholesale at the paper's default parameters; see
+  // bench/ablation_threshold.)
+  const double estimate = ctx.NodeEstimate(child, counters);
+  if (estimate < 0.0) return 0.0;
 
   // Opt-in Section 5.6 thresholding (lossy, off by default). Applied after
-  // the cache, so the memoized t∧ stays valid across threshold changes.
-  const double threshold = tree_->config().intersection_threshold;
+  // the cache, so the memoized estimate stays valid across threshold
+  // changes.
+  const double threshold = ctx.tree().config().intersection_threshold;
   if (threshold > 0.0 && estimate < threshold) return 0.0;
 
   // Branch weight: the corrected estimate, floored at half an element so
@@ -63,8 +52,8 @@ std::optional<uint64_t> BstSampler::DescendFrom(int64_t id, QueryContext* ctx,
           !ctx->EstimateCached(node.right)) {
         tree_->PrefetchChildren(node, ctx->view());
       }
-      const double left_est = ChildEstimate(node.left, *ctx, counters);
-      const double right_est = ChildEstimate(node.right, *ctx, counters);
+      const double left_est = ChildEstimate(*ctx, node.left, counters);
+      const double right_est = ChildEstimate(*ctx, node.right, counters);
       if (left_est > 0.0 && right_est > 0.0) {
         const bool go_left =
             rng->NextDouble() < LeftProbability(left_est, right_est);
@@ -159,8 +148,8 @@ void BstSampler::SampleManyNode(int64_t id, size_t r, QueryContext* ctx,
   if (!ctx->EstimateCached(node.left) || !ctx->EstimateCached(node.right)) {
     tree_->PrefetchChildren(node, ctx->view());
   }
-  const double left_est = ChildEstimate(node.left, *ctx, counters);
-  const double right_est = ChildEstimate(node.right, *ctx, counters);
+  const double left_est = ChildEstimate(*ctx, node.left, counters);
+  const double right_est = ChildEstimate(*ctx, node.right, counters);
   if (left_est <= 0.0 && right_est <= 0.0) return;
 
   size_t to_left = 0;
@@ -250,75 +239,81 @@ void BstSampler::FinishFailedDraw(BatchDraw* draw, QueryContext* ctx,
   (*out)[draw->index] = result;
 }
 
-void BstSampler::BatchDescend(int64_t id, std::vector<BatchDraw> draws,
+BstSampler::BatchDraw BstSampler::NewDraw(uint32_t index,
+                                          const Rng& rng) const {
+  BatchDraw draw{index, rng, {}};
+  draw.alts.reserve(tree_->config().depth);
+  return draw;
+}
+
+void BstSampler::BatchDescend(int64_t id, BatchDraw* begin, BatchDraw* end,
                               QueryContext* ctx, OpCounters* counters,
                               std::vector<std::optional<uint64_t>>* out) const {
-  // Every pending draw logically visits this node, exactly as its serial
-  // descent would.
-  CountNodeVisit(counters, draws.size());
-  if (tree_->IsLeaf(id)) {
-    const std::vector<uint64_t>& positives = ctx->LeafPositives(id, counters);
-    if (positives.empty()) {
-      // The reference to a non-caching context's scratch is dead once the
-      // failure path scans another leaf — but it is only read when
-      // non-empty, and failures only happen on the empty branch.
-      for (BatchDraw& draw : draws) {
-        FinishFailedDraw(&draw, ctx, counters, out);
+  for (;;) {
+    // Every pending draw logically visits this node, exactly as its
+    // serial descent would.
+    CountNodeVisit(counters, static_cast<uint64_t>(end - begin));
+    if (tree_->IsLeaf(id)) {
+      const std::vector<uint64_t>& positives =
+          ctx->LeafPositives(id, counters);
+      if (positives.empty()) {
+        // The reference to a non-caching context's scratch is dead once
+        // the failure path scans another leaf — but it is only read when
+        // non-empty, and failures only happen on the empty branch.
+        for (BatchDraw* draw = begin; draw != end; ++draw) {
+          FinishFailedDraw(draw, ctx, counters, out);
+        }
+        return;
+      }
+      for (BatchDraw* draw = begin; draw != end; ++draw) {
+        (*out)[draw->index] =
+            positives.size() == 1
+                ? positives.front()
+                : positives[static_cast<size_t>(
+                      draw->rng.Below(positives.size()))];
       }
       return;
     }
-    for (BatchDraw& draw : draws) {
-      (*out)[draw.index] =
-          positives.size() == 1
-              ? positives.front()
-              : positives[static_cast<size_t>(
-                    draw.rng.Below(positives.size()))];
-    }
-    return;
-  }
 
-  const BloomSampleTree::Node& node = tree_->node(id);
-  if (!ctx->EstimateCached(node.left) || !ctx->EstimateCached(node.right)) {
-    tree_->PrefetchChildren(node, ctx->view());
-  }
-  // One estimate per node per batch — the level-synchronous economy; the
-  // context's cache extends it to one per node per *context*.
-  const double left_est = ChildEstimate(node.left, *ctx, counters);
-  const double right_est = ChildEstimate(node.right, *ctx, counters);
-  if (left_est <= 0.0 && right_est <= 0.0) {
-    for (BatchDraw& draw : draws) {
-      FinishFailedDraw(&draw, ctx, counters, out);
+    const BloomSampleTree::Node& node = tree_->node(id);
+    if (!ctx->EstimateCached(node.left) || !ctx->EstimateCached(node.right)) {
+      tree_->PrefetchChildren(node, ctx->view());
     }
-    return;
-  }
-  if (right_est <= 0.0) {
-    BatchDescend(node.left, std::move(draws), ctx, counters, out);
-    return;
-  }
-  if (left_est <= 0.0) {
-    BatchDescend(node.right, std::move(draws), ctx, counters, out);
-    return;
-  }
+    // One estimate per node per range — the batch economy; the context's
+    // cache extends it to one per node per *context*.
+    const double left_est = ChildEstimate(*ctx, node.left, counters);
+    const double right_est = ChildEstimate(*ctx, node.right, counters);
+    if (left_est <= 0.0 && right_est <= 0.0) {
+      for (BatchDraw* draw = begin; draw != end; ++draw) {
+        FinishFailedDraw(draw, ctx, counters, out);
+      }
+      return;
+    }
+    if (right_est <= 0.0) {
+      id = node.left;
+      continue;
+    }
+    if (left_est <= 0.0) {
+      id = node.right;
+      continue;
+    }
 
-  // Both viable: each draw flips its own biased coin (its private stream,
-  // so the split is the multinomial the serial draws would realize) and
-  // remembers the sibling for backtracking.
-  const double p = LeftProbability(left_est, right_est);
-  std::vector<BatchDraw> left_draws;
-  std::vector<BatchDraw> right_draws;
-  left_draws.reserve(draws.size());
-  right_draws.reserve(draws.size());
-  for (BatchDraw& draw : draws) {
-    const bool go_left = draw.rng.NextDouble() < p;
-    draw.alts.push_back(go_left ? node.right : node.left);
-    (go_left ? left_draws : right_draws).push_back(std::move(draw));
-  }
-  draws.clear();
-  if (!left_draws.empty()) {
-    BatchDescend(node.left, std::move(left_draws), ctx, counters, out);
-  }
-  if (!right_draws.empty()) {
-    BatchDescend(node.right, std::move(right_draws), ctx, counters, out);
+    // Both viable: each draw flips its own biased coin (its private
+    // stream, so the split is the multinomial the serial draws would
+    // realize) and remembers the sibling for backtracking — the right
+    // child exactly when it went left.
+    const double p = LeftProbability(left_est, right_est);
+    for (BatchDraw* draw = begin; draw != end; ++draw) {
+      draw->alts.push_back(draw->rng.NextDouble() < p ? node.right
+                                                      : node.left);
+    }
+    BatchDraw* const mid = std::partition(
+        begin, end,
+        [&](const BatchDraw& draw) { return draw.alts.back() == node.right; });
+    if (mid != begin) BatchDescend(node.left, begin, mid, ctx, counters, out);
+    if (mid == end) return;
+    begin = mid;
+    id = node.right;
   }
 }
 
@@ -352,18 +347,19 @@ std::vector<std::optional<uint64_t>> BstSampler::SampleBatch(
     if (hw <= 1 || steps < config.min_parallel_work * amortizing) lanes = 1;
   }
 
-  const auto make_draws = [&](uint64_t lo, uint64_t hi) {
+  const auto descend = [&](uint64_t lo, uint64_t hi, OpCounters* chunk) {
     std::vector<BatchDraw> draws;
     draws.reserve(static_cast<size_t>(hi - lo));
     for (uint64_t i = lo; i < hi; ++i) {
       draws.push_back(
-          BatchDraw{static_cast<uint32_t>(i), Rng::ForStream(seed, i), {}});
+          NewDraw(static_cast<uint32_t>(i), Rng::ForStream(seed, i)));
     }
-    return draws;
+    BatchDescend(tree_->root(), draws.data(), draws.data() + draws.size(),
+                 ctx, chunk, &out);
   };
 
   if (lanes <= 1) {
-    BatchDescend(tree_->root(), make_draws(0, r), ctx, counters, &out);
+    descend(0, r, counters);
     return out;
   }
 
@@ -376,11 +372,10 @@ std::vector<std::optional<uint64_t>> BstSampler::SampleBatch(
       counters != nullptr ? static_cast<size_t>(chunks) : 0);
   pool_.Acquire(lanes)->ParallelFor(
       0, r, grain, [&](uint64_t lo, uint64_t hi) {
-        OpCounters* chunk =
-            counters != nullptr
-                ? &chunk_counters[static_cast<size_t>(lo / grain)]
-                : nullptr;
-        BatchDescend(tree_->root(), make_draws(lo, hi), ctx, chunk, &out);
+        descend(lo, hi,
+                counters != nullptr
+                    ? &chunk_counters[static_cast<size_t>(lo / grain)]
+                    : nullptr);
       });
   for (const OpCounters& chunk : chunk_counters) *counters += chunk;
   return out;
@@ -407,10 +402,11 @@ void BstSampler::SampleBatchPrepared(
   }
   std::vector<BatchDraw> batch;
   batch.reserve(draws.size());
-  for (PreparedDraw& draw : draws) {
-    batch.push_back(BatchDraw{draw.index, draw.rng, {}});
+  for (const PreparedDraw& draw : draws) {
+    batch.push_back(NewDraw(draw.index, draw.rng));
   }
-  BatchDescend(tree_->root(), std::move(batch), ctx, counters, out);
+  BatchDescend(tree_->root(), batch.data(), batch.data() + batch.size(), ctx,
+               counters, out);
 }
 
 }  // namespace bloomsample

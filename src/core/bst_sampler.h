@@ -13,13 +13,14 @@
 // membership queries and a uniform pick is made among positives.
 //
 // Execution model: every descent runs on a QueryContext. The context's
-// EstimateCache memoizes t∧ per node and its leaf cache records each
-// leaf's positives, so against a warm context a descent costs O(depth)
-// with zero kernel invocations and zero membership queries — the
-// amortized regime the multi-draw workloads (figures 3–6, the multisample
-// ablation) actually run in. The BloomFilter overloads build a throwaway
-// context; callers issuing many operations against one query should build
-// the context once and reuse it.
+// EstimateCache memoizes t∧ and the node estimate per node and its leaf
+// cache records each leaf's positives, so against a warm context a
+// descent costs O(depth) loads with zero kernel invocations, zero
+// membership queries and no recomputed estimate — the amortized regime
+// the multi-draw workloads (figures 3–6, the multisample ablation)
+// actually run in. The BloomFilter overloads build a throwaway context;
+// callers issuing many operations against one query should build the
+// context once and reuse it.
 //
 // Two multi-draw entry points:
 //   * SampleMany — the paper's single-pass multi-sampling (Section 5.3):
@@ -31,12 +32,13 @@
 //     draw-for-draw bit-identical to r serial Sample calls on those
 //     streams — for every batch size, every TreeConfig::query_threads
 //     value (draws are partitioned across the thread pool in contiguous
-//     chunks), and every SIMD tier. The descent is level-synchronous:
-//     pending draws travel down the tree as one frontier, each node's
-//     estimate is resolved once per batch (and once per *context*
-//     lifetime, via the cache) and its draws split between the children
-//     by their own coin flips; paths that die backtrack individually on
-//     the cached state.
+//     chunks), and every SIMD tier. The descent is depth-first over one
+//     array of pending draws: at each node the draws reaching it occupy
+//     one contiguous range, the node's estimates are resolved once for
+//     the range (and once per *context* lifetime, via the cache), each
+//     draw flips its own coin, and the range is partitioned in place
+//     into its left and right parts — no per-node allocation. Paths that
+//     die backtrack individually on the cached state.
 #ifndef BLOOMSAMPLE_CORE_BST_SAMPLER_H_
 #define BLOOMSAMPLE_CORE_BST_SAMPLER_H_
 
@@ -129,21 +131,28 @@ class BstSampler {
 
   const BloomSampleTree& tree() const { return *tree_; }
 
+  /// Branch weight of `child` against ctx's query: the context's
+  /// NodeEstimate with the Section 5.6 threshold (the tree's current
+  /// intersection_threshold) and a 0.5 floor applied; 0.0 for kNoNode and
+  /// pruned nodes. The forest's virtual super-root weighs its shard roots
+  /// with it too.
+  static double ChildEstimate(const QueryContext& ctx, int64_t child,
+                              OpCounters* counters);
+
  private:
   /// One pending draw of a batch: its slot in the output, its private RNG
   /// stream, and the untried siblings of every both-viable node on its
-  /// path (LIFO — the backtracking order of the serial descent).
+  /// path (LIFO — the backtracking order of the serial descent). `alts`
+  /// holds at most one sibling per level above the draw's node, so it is
+  /// reserved once, at the tree depth, and never grows.
   struct BatchDraw {
     uint32_t index;
     Rng rng;
     std::vector<int64_t> alts;
   };
 
-  /// Estimated |child ∩ query|, with the Section 5.6 threshold applied;
-  /// 0.0 for absent children. Served from the context's EstimateCache —
-  /// one kernel invocation per (node, context), ever.
-  double ChildEstimate(int64_t child, const QueryContext& ctx,
-                       OpCounters* counters) const;
+  /// A draw pending at the root, its backtrack stack reserved.
+  BatchDraw NewDraw(uint32_t index, const Rng& rng) const;
 
   /// The serial descent core: walks from `id` to a sample, consuming `rng`
   /// exactly as Algorithm 1 does (one coin per both-viable node, one pick
@@ -155,10 +164,14 @@ class BstSampler {
                                       std::vector<int64_t>* alts,
                                       OpCounters* counters) const;
 
-  /// Level-synchronous batched descent: resolves node `id` once and routes
-  /// every pending draw in `draws` toward its leaf. Draws whose paths die
-  /// finish individually via DescendFrom on the cached state.
-  void BatchDescend(int64_t id, std::vector<BatchDraw> draws,
+  /// Batched descent: routes the draws in [begin, end) — all pending at
+  /// node `id` — toward their leaves. At a both-viable node each draw
+  /// flips its coin and records its alternative, the range is partitioned
+  /// in place, the left part recurses and the right part continues in
+  /// the loop. Draws whose paths die finish individually via DescendFrom
+  /// on the cached state. The order of draws within a range never changes
+  /// a draw: each reads only its own stream and the caches.
+  void BatchDescend(int64_t id, BatchDraw* begin, BatchDraw* end,
                     QueryContext* ctx, OpCounters* counters,
                     std::vector<std::optional<uint64_t>>* out) const;
 

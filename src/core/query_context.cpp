@@ -1,5 +1,7 @@
 #include "src/core/query_context.h"
 
+#include "src/bloom/cardinality.h"
+
 namespace bloomsample {
 
 QueryContext::QueryContext(const BloomSampleTree& tree,
@@ -10,14 +12,18 @@ QueryContext::QueryContext(const BloomSampleTree& tree,
             "query filter does not share the tree's hash family");
   const size_t nodes = tree.node_count();
   if (!cache_estimates || nodes == 0) return;
-  t_and_ = std::make_unique<std::atomic<uint64_t>[]>(nodes);
-  for (size_t i = 0; i < nodes; ++i) {
-    t_and_[i].store(kUnknown, std::memory_order_relaxed);
-  }
+  memo_ = std::make_unique<NodeMemo[]>(nodes);
   // LeafEntry slots exist for every node id so lookups stay a flat index;
   // only leaves are ever filled.
   leaves_ = std::make_unique<LeafEntry[]>(nodes);
   if (tree.HasExactIndex()) exact_ = std::make_unique<ExactAnswer>();
+}
+
+double QueryContext::EstimateFor(int64_t id, uint64_t t_and) const {
+  const BloomSampleTree::Node& node = tree_->node(id);
+  if (t_and < node.filter.k()) return kPruned;
+  return EstimateIntersectionFromBits(node.set_bits, view_.set_bits(), t_and,
+                                      node.filter.m(), node.filter.k());
 }
 
 std::vector<uint64_t> QueryContext::ExactMembers(OpCounters* counters) const {

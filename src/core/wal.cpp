@@ -90,6 +90,17 @@ std::string OldWalPathFor(const std::string& snapshot_path) {
   return snapshot_path + ".wal.old";
 }
 
+Status RetireLogs(FileSystem* fs, const std::string& snapshot_path) {
+  for (const std::string& log :
+       {OldWalPathFor(snapshot_path), WalPathFor(snapshot_path)}) {
+    if (!fs->FileExists(log)) continue;
+    Status st = fs->RemoveFile(log);
+    if (st.ok()) st = fs->SyncDirOf(log);
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
 uint64_t WalConfigFingerprint(const TreeConfig& config) {
   uint8_t buf[44];
   PutU64(buf, config.namespace_size);

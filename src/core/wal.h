@@ -107,6 +107,12 @@ std::string WalPathFor(const std::string& snapshot_path);
 /// is folding into the next image. Loaders replay it BEFORE the live log.
 std::string OldWalPathFor(const std::string& snapshot_path);
 
+/// Durably removes both logs an image at `snapshot_path` replays on open
+/// (`.wal.old`, then `.wal`), each fenced with a directory sync; absent
+/// logs are skipped. Run once the image holds their records, or before a
+/// fresh image replaces one whose records must not be replayed into it.
+Status RetireLogs(FileSystem* fs, const std::string& snapshot_path);
+
 /// XXH64 over the tree-identity fields of `config` (namespace_size, m, k,
 /// hash_kind, seed, depth). Runtime policy knobs (threads, thresholds) are
 /// excluded — they never change what a record means.

@@ -51,20 +51,23 @@ void SetNonBlocking(int fd) {
 
 }  // namespace
 
-/// One accepted connection. The event loop owns the read side and the
-/// table entry; workers only touch the outbox (under out_mu) and the
-/// atomics — a worker never closes an fd, it marks the conn and wakes
-/// the loop.
+/// One accepted connection. The event loop owns the read side, the table
+/// entry and the poller registration. Writes are shared: the thread that
+/// appends a response — a worker or the loop — sends the outbox itself,
+/// and hands the conn to the loop only when the socket would block, the
+/// reader stalls, or the conn must close. Every send on fd and its close
+/// happen under out_mu (a sender checks `closed` there first, Close sets
+/// it there), so no thread writes into a descriptor number the process
+/// has since reused.
 struct BsrServer::Conn {
   int fd = -1;
   std::vector<uint8_t> inbuf;
-  Clock::time_point last_activity;
+  Clock::time_point last_read;  ///< loop-owned
   /// When the current PARTIAL frame started dribbling in (slow-loris
   /// clock); meaningful while mid_frame.
   Clock::time_point frame_start;
   bool mid_frame = false;
   bool want_write = false;        ///< loop-owned: registered for EPOLLOUT
-  bool close_after_flush = false; ///< loop-owned: protocol error sent
   std::atomic<bool> closed{false};
   std::atomic<bool> kill_stalled{false};
   std::atomic<int> in_flight{0};
@@ -72,10 +75,49 @@ struct BsrServer::Conn {
   std::mutex out_mu;
   std::vector<uint8_t> out;
   size_t out_off = 0;
+  Clock::time_point last_write;
+  /// A protocol error was answered: close once the outbox is flushed.
+  /// Written by the loop; read by senders under out_mu.
+  bool close_after_flush = false;
 
   size_t PendingOut() {
     std::lock_guard<std::mutex> lock(out_mu);
     return out.size() - out_off;
+  }
+
+  /// The later of the last read and the last write.
+  Clock::time_point LastActivity() {
+    std::lock_guard<std::mutex> lock(out_mu);
+    return std::max(last_read, last_write);
+  }
+
+  /// Sends the outbox until it is empty or the socket would block. The
+  /// caller holds out_mu and has seen `closed` false. False when the peer
+  /// is gone (EPIPE, ECONNRESET).
+  bool FlushLocked() {
+    while (out_off < out.size()) {
+      const ssize_t n = send(fd, out.data() + out_off, out.size() - out_off,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        out_off += static_cast<size_t>(n);
+        last_write = Clock::now();
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    }
+    out.clear();
+    out_off = 0;
+    return true;
+  }
+
+  /// Marks the conn closed and closes fd, under out_mu so no sender is
+  /// mid-send on it. False when it was already closed.
+  bool Close() {
+    std::lock_guard<std::mutex> lock(out_mu);
+    if (closed.exchange(true, std::memory_order_acq_rel)) return false;
+    close(fd);
+    return true;
   }
 };
 
@@ -412,10 +454,7 @@ void BsrServer::LoopBody() {
   std::vector<std::shared_ptr<Conn>> to_close;
   to_close.reserve(conns_.size());
   for (auto& [fd, conn] : conns_) to_close.push_back(conn);
-  for (auto& conn : to_close) {
-    conn->closed.store(true, std::memory_order_release);
-    close(conn->fd);
-  }
+  for (auto& conn : to_close) conn->Close();
   conns_.clear();
   if (!unix_path_.empty()) unlink(unix_path_.c_str());
 #if BSR_SERVER_EPOLL
@@ -439,7 +478,7 @@ void BsrServer::AcceptReady() {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    conn->last_activity = Clock::now();
+    conn->last_read = Clock::now();
     conns_[fd] = conn;
 #if BSR_SERVER_EPOLL
     EpollCtl(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN);
@@ -456,7 +495,7 @@ void BsrServer::ReadReady(const std::shared_ptr<Conn>& conn) {
     const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->inbuf.insert(conn->inbuf.end(), buf, buf + n);
-      conn->last_activity = Clock::now();
+      conn->last_read = Clock::now();
       if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
@@ -488,9 +527,9 @@ void BsrServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
       // The stream position cannot be trusted past a malformed header:
       // answer on the recovered request id (it may be garbage — the
       // client correlates or ignores) and hang up after the flush.
-      SendError(conn, decoded.header.opcode, decoded.header.request_id,
-                WireStatusFromStatus(st), st.message());
-      conn->close_after_flush = true;
+      SendErrorThenClose(conn, decoded.header.opcode,
+                         decoded.header.request_id, WireStatusFromStatus(st),
+                         st.message());
       break;
     }
     const size_t frame_len = kFrameHeaderBytes + decoded.header.payload_len;
@@ -503,9 +542,10 @@ void BsrServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.bad_frames;
       }
-      SendError(conn, decoded.header.opcode, decoded.header.request_id,
-                WireStatus::kInvalidArgument, "frame digest mismatch");
-      conn->close_after_flush = true;
+      SendErrorThenClose(conn, decoded.header.opcode,
+                         decoded.header.request_id,
+                         WireStatus::kInvalidArgument,
+                         "frame digest mismatch");
       break;
     }
     std::vector<uint8_t> payload(frame + kFrameHeaderBytes,
@@ -586,35 +626,21 @@ void BsrServer::Admit(const std::shared_ptr<Conn>& conn,
 }
 
 void BsrServer::WriteReady(const std::shared_ptr<Conn>& conn) {
-  std::unique_lock<std::mutex> lock(conn->out_mu);
-  while (conn->out_off < conn->out.size()) {
-    const ssize_t n =
-        send(conn->fd, conn->out.data() + conn->out_off,
-             conn->out.size() - conn->out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
-      conn->last_activity = Clock::now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n < 0 && errno == EINTR) continue;
-    // EPIPE/ECONNRESET: the client vanished mid-response. Routine — drop
-    // the conn, keep serving everyone else.
-    lock.unlock();
-    CloseConn(conn);
-    return;
+  bool close_now;
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->closed.load(std::memory_order_acquire)) return;
+    // A failed send means the client vanished mid-response (EPIPE,
+    // ECONNRESET). Routine — drop the conn, keep serving everyone else.
+    close_now = !conn->FlushLocked() ||
+                (conn->out.empty() && conn->close_after_flush);
   }
-  conn->out.clear();
-  conn->out_off = 0;
-  const bool close_now = conn->close_after_flush;
-  lock.unlock();
   if (close_now) CloseConn(conn);
 }
 
 void BsrServer::CloseConn(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
+  if (!conn->Close()) return;
   conns_.erase(conn->fd);
-  close(conn->fd);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.active_connections = conns_.size();
 }
@@ -632,7 +658,7 @@ void BsrServer::SweepTimeouts() {
     }
     if (!conn->mid_frame && conn->in_flight.load() == 0 &&
         conn->PendingOut() == 0 &&
-        now - conn->last_activity > options_.idle_timeout) {
+        now - conn->LastActivity() > options_.idle_timeout) {
       ++idle;
       victims.push_back(conn);
     }
@@ -697,21 +723,28 @@ void BsrServer::SendResponse(const std::shared_ptr<Conn>& conn,
                              Opcode opcode, uint64_t request_id,
                              WireStatus status, uint32_t retry_after_ms,
                              const uint8_t* payload, size_t payload_len) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
   FrameHeader h;
   h.opcode = opcode;
   h.status = status;
   h.request_id = request_id;
   h.budget_ms = retry_after_ms;
   h.payload_len = static_cast<uint32_t>(payload_len);
-  bool stalled = false;
+  bool hand_off;
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->closed.load(std::memory_order_acquire)) return;
     EncodeFrame(h, payload, payload_len, &conn->out);
-    stalled = conn->out.size() - conn->out_off > options_.max_outbox_bytes;
+    // Write from this thread; the loop takes over only what it cannot
+    // finish here: the rest of a partial write (EPOLLOUT), a broken
+    // socket, a stalled reader, or the hang-up after a protocol error.
+    const bool sent = conn->FlushLocked();
+    const size_t pending = conn->out.size() - conn->out_off;
+    if (pending > options_.max_outbox_bytes) {
+      conn->kill_stalled.store(true, std::memory_order_release);
+    }
+    hand_off = !sent || pending > 0 || conn->close_after_flush;
   }
-  if (stalled) conn->kill_stalled.store(true, std::memory_order_release);
-  {
+  if (hand_off) {
     std::lock_guard<std::mutex> lock(dirty_mu_);
     dirty_.push_back(conn);
   }
@@ -719,7 +752,7 @@ void BsrServer::SendResponse(const std::shared_ptr<Conn>& conn,
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.responses_out;
   }
-  WakeLoop();
+  if (hand_off) WakeLoop();
 }
 
 void BsrServer::SendError(const std::shared_ptr<Conn>& conn, Opcode opcode,
@@ -729,6 +762,20 @@ void BsrServer::SendError(const std::shared_ptr<Conn>& conn, Opcode opcode,
   SendResponse(conn, opcode, request_id, status, retry_after_ms,
                reinterpret_cast<const uint8_t*>(message.data()),
                message.size());
+}
+
+void BsrServer::SendErrorThenClose(const std::shared_ptr<Conn>& conn,
+                                   Opcode opcode, uint64_t request_id,
+                                   WireStatus status,
+                                   const std::string& message) {
+  // Marked before the answer is queued, so whichever thread flushes it
+  // hands the conn to the loop, which closes it. This runs on the loop
+  // thread, so no close can slip in between the two steps.
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    conn->close_after_flush = true;
+  }
+  SendError(conn, opcode, request_id, status, message);
 }
 
 void BsrServer::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {

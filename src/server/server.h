@@ -2,14 +2,18 @@
 // graceful degradation rather than raw throughput.
 //
 // Architecture: one event-loop thread (epoll on Linux, poll elsewhere)
-// owns every socket — accepts, framed reads, framed writes, timeouts —
-// and a small worker pool executes query passes. The two sides meet at a
-// BOUNDED admission queue and per-connection outboxes:
+// accepts, reads frames, enforces timeouts and closes sockets; a small
+// worker pool executes query passes and writes each response to its
+// socket itself, so a served request crosses one thread hand-off (the
+// BOUNDED admission queue). A worker hands its connection back to the
+// loop (dirty list + wake pipe) only when the write would block, the
+// reader has stalled past its outbox cap, or the connection must close:
 //
 //   clients ──frames──► event loop ──admit──► request queue (bounded)
-//                           ▲                     │ workers
-//                           │ wake pipe           ▼ execute under
-//                           └── outbox append ── AcquireRead / pipeline
+//      ▲                    ▲                     │ workers: execute
+//      │                    │ wake pipe           ▼ under AcquireRead /
+//      │                    └── partial write ── pipeline, then send
+//      └─────────────── response bytes ◄─────────┘
 //
 // Degradation ladder (the whole point):
 //   * per-request DEADLINES travel in the frame; an expired request is
@@ -208,7 +212,9 @@ class BsrServer {
   /// Keeps the poller's write interest in sync with the outbox.
   void UpdateWriteInterest(const std::shared_ptr<Conn>& conn);
 
-  /// Thread-safe response enqueue (workers and the loop both use it).
+  /// Thread-safe response write (workers and the loop both use it):
+  /// appends the frame to the outbox and sends it from the calling
+  /// thread; only what would block goes through the loop.
   void SendResponse(const std::shared_ptr<Conn>& conn, Opcode opcode,
                     uint64_t request_id, WireStatus status,
                     uint32_t retry_after_ms, const uint8_t* payload,
@@ -216,6 +222,11 @@ class BsrServer {
   void SendError(const std::shared_ptr<Conn>& conn, Opcode opcode,
                  uint64_t request_id, WireStatus status,
                  const std::string& message, uint32_t retry_after_ms = 0);
+  /// Loop thread: answers a frame that poisons the stream, then closes
+  /// the connection as soon as that answer is flushed.
+  void SendErrorThenClose(const std::shared_ptr<Conn>& conn, Opcode opcode,
+                          uint64_t request_id, WireStatus status,
+                          const std::string& message);
 
   void ExecuteBatch(std::vector<std::unique_ptr<Request>> batch);
   void ExecuteSampleGroup(const std::vector<Request*>& group);
@@ -270,7 +281,8 @@ class BsrServer {
   /// Requests admitted but not yet answered (drain waits on zero).
   std::atomic<uint64_t> in_flight_{0};
 
-  /// Conns with responses to flush, handed from workers to the loop.
+  /// Conns whose responses a sender could not finish (would block, stalled
+  /// reader, hang-up pending), handed to the loop.
   std::mutex dirty_mu_;
   std::vector<std::shared_ptr<Conn>> dirty_;
 

@@ -34,6 +34,9 @@ class XxHash64 {
   /// Feeds `len` bytes. Equivalent byte streams yield equal digests no
   /// matter how they are split across Update calls.
   void Update(const void* data, size_t len) {
+    // An empty update may come with a null pointer (an empty vector's
+    // data()), which memcpy must never see.
+    if (len == 0) return;
     const uint8_t* p = static_cast<const uint8_t*>(data);
     total_len_ += len;
 

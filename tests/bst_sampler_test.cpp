@@ -6,6 +6,8 @@
 #include <unordered_set>
 
 #include "src/baselines/dictionary_attack.h"
+#include "src/bloom/cardinality.h"
+#include "src/core/query_context.h"
 #include "src/workload/set_generators.h"
 
 namespace bloomsample {
@@ -207,6 +209,51 @@ TEST(BstSamplerTest, WorksOnPrunedTree) {
     EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), *sample));
     EXPECT_TRUE(query.Contains(*sample));
   }
+}
+
+TEST(BstSamplerTest, BranchWeightCutsBelowKAndFloorsChanceOverlap) {
+  // Per node: fewer than k shared bits is a lossless cut (weight 0); a
+  // node at or below chance overlap estimates 0 yet stays viable at the
+  // 0.5 floor; the Section 5.6 threshold applies on every call. Caching
+  // and non-caching contexts agree, before and after the memo fills.
+  const uint64_t M = 10000;
+  auto tree = BloomSampleTree::BuildComplete(Config(M, 8000, 5)).value();
+  Rng rng(9);
+  const auto members = GenerateUniformSet(M, 20, &rng).value();
+  const BloomFilter query = tree.MakeQueryFilter(members);
+  const QueryContext cached(tree, query);
+  const QueryContext uncached(tree, query, IntersectKernel::kAuto,
+                              /*cache_estimates=*/false);
+  size_t cut = 0, floored = 0, weighed = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t id = 0; id < static_cast<int64_t>(tree.node_count());
+         ++id) {
+      const BloomSampleTree::Node& node = tree.node(id);
+      const uint64_t t_and = node.filter.AndPopcount(query);
+      tree.set_intersection_threshold(0.0);
+      if (t_and < node.filter.k()) {
+        EXPECT_EQ(cached.NodeEstimate(id, nullptr), QueryContext::kPruned);
+        EXPECT_EQ(BstSampler::ChildEstimate(cached, id, nullptr), 0.0);
+        cut += pass == 0;
+        continue;
+      }
+      const double estimate = EstimateIntersectionFromBits(
+          node.set_bits, query.SetBitCount(), t_and, node.filter.m(),
+          node.filter.k());
+      EXPECT_EQ(cached.NodeEstimate(id, nullptr), estimate) << id;
+      EXPECT_EQ(uncached.NodeEstimate(id, nullptr), estimate) << id;
+      EXPECT_EQ(BstSampler::ChildEstimate(cached, id, nullptr),
+                std::max(estimate, 0.5))
+          << id;
+      tree.set_intersection_threshold(estimate + 1.0);
+      EXPECT_EQ(BstSampler::ChildEstimate(cached, id, nullptr), 0.0) << id;
+      if (pass == 0) (estimate == 0.0 ? floored : weighed) += 1;
+    }
+  }
+  tree.set_intersection_threshold(0.0);
+  EXPECT_GT(cut, 0u);
+  EXPECT_GT(floored, 0u);
+  EXPECT_GT(weighed, 0u);
 }
 
 TEST(BstSamplerDeathTest, ForeignQueryFilterAborts) {

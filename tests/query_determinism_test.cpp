@@ -17,6 +17,12 @@
 //     draw for draw, for every query_threads value, every min_parallel_work
 //     gate setting, and every SIMD tier — and its draws must pass the
 //     paper's chi-squared uniformity test.
+//   * The warm pass bsrd serves (a pruned M = 1e6 tree at the paper's
+//     configuration): SampleBatch and SampleBatchPrepared draw the same on
+//     a fresh context and on one warmed by earlier batches, with draws and
+//     op totals identical across query threads, SIMD tiers and load
+//     modes; and a threshold change on a warm context takes effect — the
+//     memo holds the raw estimate, never a thresholded weight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +37,7 @@
 #include "src/core/bst_reconstructor.h"
 #include "src/core/bst_sampler.h"
 #include "src/core/query_context.h"
+#include "src/core/tree_config.h"
 #include "src/core/tree_io.h"
 #include "src/stats/chi_squared.h"
 #include "src/util/rng.h"
@@ -440,6 +447,206 @@ TEST(QueryDeterminismTest, SampleBatchChiSquaredUniform) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.value().RejectsUniformity(0.08))
       << "p=" << result.value().p_value;
+}
+
+/// The tree bsrd serves in the e2e benchmark: M = 1e6 at
+/// MakeConfigForAccuracy(0.9, n = 1000, k = 3), 10% of ids occupied.
+struct PaperPrunedTree {
+  std::vector<uint64_t> occupied;
+  BloomSampleTree tree;
+};
+
+PaperPrunedTree BuildPaperPrunedTree(uint64_t seed) {
+  const uint64_t M = 1000000;
+  auto config = MakeConfigForAccuracy(0.9, /*n=*/1000, /*k=*/3, M,
+                                      HashFamilyKind::kSimple,
+                                      TreeConfig().seed);
+  EXPECT_TRUE(config.ok()) << config.status().ToString();
+  Rng rng(seed);
+  std::vector<uint64_t> occupied = GenerateUniformSet(M, M / 10, &rng).value();
+  auto tree = BloomSampleTree::BuildPruned(config.value(), occupied);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  return {std::move(occupied), std::move(tree).value()};
+}
+
+/// One SampleBatch(64) and one SampleBatchPrepared(64) on the same
+/// streams, with their op totals.
+struct WarmPass {
+  std::vector<std::optional<uint64_t>> batch;
+  std::vector<std::optional<uint64_t>> prepared;
+  OpCounters batch_counters;
+  OpCounters prepared_counters;
+};
+
+std::vector<std::optional<uint64_t>> Prepared64(const BstSampler& sampler,
+                                                QueryContext* ctx,
+                                                uint64_t seed,
+                                                OpCounters* counters) {
+  std::vector<BstSampler::PreparedDraw> draws;
+  for (uint32_t i = 0; i < 64; ++i) {
+    draws.push_back({i, Rng::ForStream(seed, i)});
+  }
+  std::vector<std::optional<uint64_t>> out(64);
+  sampler.SampleBatchPrepared(ctx, std::move(draws), counters, &out);
+  return out;
+}
+
+/// Fresh: each entry point on its own new context. Warm: both on one
+/// context that three earlier batches have filled.
+WarmPass RunPass(const BloomSampleTree& tree, const BloomFilter& query,
+                 bool warm, uint64_t seed) {
+  const BstSampler sampler(&tree);
+  WarmPass pass;
+  QueryContext shared(tree, query);
+  if (warm) {
+    for (uint64_t earlier = 1; earlier <= 3; ++earlier) {
+      (void)sampler.SampleBatch(&shared, 64, seed + earlier);
+    }
+  }
+  QueryContext fresh_batch(tree, query);
+  QueryContext fresh_prepared(tree, query);
+  pass.batch = sampler.SampleBatch(warm ? &shared : &fresh_batch, 64, seed,
+                                   &pass.batch_counters);
+  pass.prepared = Prepared64(sampler, warm ? &shared : &fresh_prepared, seed,
+                             &pass.prepared_counters);
+  return pass;
+}
+
+/// `with_hits` false skips estimate_cache_hits: each SampleBatch lane
+/// resolves the top of the tree for its own chunk of draws, so the number
+/// of cache reads depends on the lane count. Every other total — kernels,
+/// misses, scans, visits — counts per draw or once per (node, context).
+void ExpectSameCounters(const OpCounters& a, const OpCounters& b,
+                        bool with_hits, const std::string& what) {
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << what;
+  EXPECT_EQ(a.intersections, b.intersections) << what;
+  EXPECT_EQ(a.intersection_bytes, b.intersection_bytes) << what;
+  if (with_hits) EXPECT_EQ(a.estimate_cache_hits, b.estimate_cache_hits) << what;
+  EXPECT_EQ(a.estimate_cache_misses, b.estimate_cache_misses) << what;
+  EXPECT_EQ(a.membership_queries, b.membership_queries) << what;
+  EXPECT_EQ(a.backtracks, b.backtracks) << what;
+  EXPECT_EQ(a.null_samples, b.null_samples) << what;
+}
+
+TEST(QueryDeterminismTest, WarmPassMatchesFreshAcrossThreadsTiersAndLoads) {
+  PaperPrunedTree built = BuildPaperPrunedTree(61);
+  const std::string path = ::testing::TempDir() + "/warm_pass.bst";
+  std::remove(path.c_str());
+  ASSERT_TRUE(SaveTreeToFile(built.tree, path).ok());
+  Rng rng(67);
+  std::vector<uint64_t> members;
+  for (uint64_t i :
+       GenerateUniformSet(built.occupied.size(), 1000, &rng).value()) {
+    members.push_back(built.occupied[i]);
+  }
+  const uint64_t kSeed = 71;
+  const uint32_t kThreads[] = {1, 4};
+
+  // Per state (fresh, warm) and thread count: the first configuration's
+  // pass, which every other tier and load mode must repeat exactly.
+  std::optional<WarmPass> reference[2][2];
+  const simd::Level original = simd::ActiveLevel();
+  for (LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+    LoadOptions options;
+    options.mode = mode;
+    auto loaded = LoadTreeFromFile(path, options);
+    if (!loaded.ok() && mode == LoadMode::kMmap) continue;  // no mmap here
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    BloomSampleTree& tree = loaded.value();
+    const BloomFilter query = tree.MakeQueryFilter(members);
+    tree.set_min_parallel_work(0);  // 4 threads really run 4 lanes
+    for (simd::Level level :
+         {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+      if (!simd::LevelSupported(level)) continue;
+      simd::ForceLevel(level);
+      for (int t = 0; t < 2; ++t) {
+        tree.set_query_threads(kThreads[t]);
+        for (const int warm : {0, 1}) {
+          const std::string what =
+              "mode=" + std::to_string(static_cast<int>(mode)) +
+              " tier=" + simd::LevelName(level) +
+              " threads=" + std::to_string(kThreads[t]) +
+              (warm ? " warm" : " fresh");
+          const WarmPass pass = RunPass(tree, query, warm == 1, kSeed);
+          EXPECT_EQ(pass.prepared, pass.batch) << what;
+          std::optional<WarmPass>& ref = reference[warm][t];
+          if (!ref.has_value()) ref = pass;
+          const WarmPass& serial =
+              reference[warm][0].has_value() ? *reference[warm][0] : pass;
+          EXPECT_EQ(pass.batch, serial.batch) << what;
+          ExpectSameCounters(pass.batch_counters, ref->batch_counters,
+                             /*with_hits=*/true, what + " batch");
+          ExpectSameCounters(pass.batch_counters, serial.batch_counters,
+                             /*with_hits=*/false, what + " batch vs serial");
+          ExpectSameCounters(pass.prepared_counters, serial.prepared_counters,
+                             /*with_hits=*/true, what + " prepared");
+        }
+      }
+    }
+  }
+  simd::ForceLevel(original);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reference[0][0].has_value() && reference[1][0].has_value());
+  // A warm context changes only the work, never a draw.
+  EXPECT_EQ(reference[1][0]->batch, reference[0][0]->batch);
+  EXPECT_LT(reference[1][0]->batch_counters.intersections,
+            reference[0][0]->batch_counters.intersections);
+  size_t drawn = 0;
+  for (const auto& draw : reference[0][0]->batch) drawn += draw.has_value();
+  EXPECT_GT(drawn, 32u);
+}
+
+TEST(QueryDeterminismTest, ThresholdChangeTakesEffectOnAWarmContext) {
+  PaperPrunedTree built = BuildPaperPrunedTree(73);
+  BloomSampleTree& tree = built.tree;
+  const BstSampler sampler(&tree);
+  const BstReconstructor reconstructor(&tree);
+  Rng rng(79);
+  std::vector<uint64_t> members;
+  for (uint64_t i :
+       GenerateUniformSet(built.occupied.size(), 1000, &rng).value()) {
+    members.push_back(built.occupied[i]);
+  }
+  const BloomFilter query = tree.MakeQueryFilter(members);
+  const uint64_t kSeed = 83;
+  const auto fresh_at = [&](double threshold) {
+    tree.set_intersection_threshold(threshold);
+    QueryContext ctx(tree, query);
+    return sampler.SampleBatch(&ctx, 64, kSeed);
+  };
+  const auto fresh_recon_at = [&](double threshold) {
+    tree.set_intersection_threshold(threshold);
+    return reconstructor.Reconstruct(
+        query, nullptr, BstReconstructor::PruningMode::kThresholded);
+  };
+  const double kThreshold = 3.0;
+  const auto open = fresh_at(0.0);
+  const auto cut = fresh_at(kThreshold);
+  const auto open_recon = fresh_recon_at(0.0);
+  const auto cut_recon = fresh_recon_at(kThreshold);
+  // Not vacuous: the threshold moves draws and prunes reconstruction.
+  ASSERT_NE(cut, open);
+  ASSERT_NE(cut_recon, open_recon);
+
+  tree.set_intersection_threshold(0.0);
+  QueryContext warm(tree, query);
+  for (uint64_t earlier = 1; earlier <= 3; ++earlier) {
+    (void)sampler.SampleBatch(&warm, 64, kSeed + earlier);
+  }
+  (void)reconstructor.Reconstruct(warm, nullptr,
+                                  BstReconstructor::PruningMode::kThresholded);
+  EXPECT_EQ(sampler.SampleBatch(&warm, 64, kSeed), open);
+  tree.set_intersection_threshold(kThreshold);
+  EXPECT_EQ(sampler.SampleBatch(&warm, 64, kSeed), cut);
+  EXPECT_EQ(Prepared64(sampler, &warm, kSeed, nullptr), cut);
+  EXPECT_EQ(reconstructor.Reconstruct(
+                warm, nullptr, BstReconstructor::PruningMode::kThresholded),
+            cut_recon);
+  tree.set_intersection_threshold(0.0);
+  EXPECT_EQ(sampler.SampleBatch(&warm, 64, kSeed), open);
+  EXPECT_EQ(reconstructor.Reconstruct(
+                warm, nullptr, BstReconstructor::PruningMode::kThresholded),
+            open_recon);
 }
 
 TEST(QueryDeterminismTest, EstimateCacheAmortizesRepeatedTraversals) {

@@ -19,11 +19,14 @@
 //     the retry-after hint reaches the client), a quarantined lane
 //     refuses mutations with QUARANTINED while reads keep serving;
 //   * a digest-tampered frame is answered INVALID and the connection
-//     dropped (the stream position can no longer be trusted);
+//     dropped at once (the stream position can no longer be trusted);
+//   * responses a pipelining client leaves unread past the socket buffer
+//     arrive whole, on their own request ids, once it reads;
 //   * idle connections and slow-loris partial frames are closed on their
 //     timeouts;
 //   * graceful drain answers in-flight requests before stopping.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -33,6 +36,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -489,8 +493,13 @@ bool RawRead(int fd, uint8_t* out, size_t n) {
 }
 
 TEST(ServerTest, TamperedDigestAnsweredInvalidThenClosed) {
+  // Both timeouts far out: only the bad-frame hang-up may close the
+  // connection, so a close that waits for a timeout sweep fails below.
   ServerHarness h;
-  h.Start("tamper");
+  ServerOptions options;
+  options.read_timeout = std::chrono::milliseconds(60000);
+  options.idle_timeout = std::chrono::milliseconds(60000);
+  h.Start("tamper", options);
   const int fd = RawConnect(h.server->address());
 
   std::vector<uint8_t> frame;
@@ -510,11 +519,114 @@ TEST(ServerTest, TamperedDigestAnsweredInvalidThenClosed) {
   std::vector<uint8_t> payload(decoded.header.payload_len);
   ASSERT_TRUE(RawRead(fd, payload.data(), payload.size()));
 
-  // The stream is poisoned; the server must hang up after answering.
+  // The stream is poisoned; the server must hang up right after
+  // answering — EOF within a second, not at a timeout.
+  pollfd p{fd, POLLIN, 0};
+  ASSERT_EQ(poll(&p, 1, /*timeout_ms=*/1000), 1) << "no hang-up within 1 s";
   uint8_t byte;
   EXPECT_EQ(read(fd, &byte, 1), 0);
   close(fd);
   EXPECT_GE(h.server->stats().bad_frames, 1u);
+}
+
+TEST(ServerTest, PipelinedResponsesPastTheSocketBufferArriveWhole) {
+  // One connection pipelines SAMPLE(1000) and exact RECONSTRUCT frames
+  // without reading: the responses (> 500 KB) overflow the socket buffer,
+  // so workers' direct writes hit EAGAIN and the loop must finish them.
+  // Then every response must arrive whole, answer its own request id,
+  // and equal the local engine.
+  ServerHarness h;
+  h.Start("pipeline");
+  const std::vector<std::vector<uint64_t>> sets = {
+      QueryIds(), {59, 86, 113, 140, 167, 194, 221, 248, 275, 302}};
+  std::vector<std::vector<uint8_t>> filters;
+  for (const auto& ids : sets) filters.push_back(FilterBytesFor(*h.tree, ids));
+
+  struct Expected {
+    Opcode opcode;
+    std::vector<std::optional<uint64_t>> draws;
+    std::vector<uint64_t> ids;
+  };
+  std::map<uint64_t, Expected> expected;
+  std::vector<uint8_t> stream;
+  const BstSampler sampler(h.tree.get());
+  constexpr uint32_t kCount = 1000;
+  size_t response_bytes = 0;
+  for (uint64_t i = 0; i < 64; ++i) {
+    const size_t s = i % sets.size();
+    SampleRequest sample;
+    sample.count = kCount;
+    sample.seed = 1000 + i;
+    sample.filter = filters[s];
+    std::vector<uint8_t> payload;
+    EncodeSampleRequest(sample, &payload);
+    FrameHeader header;
+    header.opcode = Opcode::kSample;
+    header.request_id = 2 * i + 1;
+    header.payload_len = static_cast<uint32_t>(payload.size());
+    EncodeFrame(header, payload.data(), payload.size(), &stream);
+    BloomFilter query(h.tree->family_ptr());
+    query.InsertBatch(sets[s]);
+    expected[header.request_id] = {
+        Opcode::kSample, sampler.SampleBatch(query, kCount, sample.seed), {}};
+    response_bytes += 4 + 8 * kCount;
+
+    if (i % 4 == 3) {
+      ReconstructRequest recon;
+      recon.exact = true;
+      recon.filter = filters[s];
+      payload.clear();
+      EncodeReconstructRequest(recon, &payload);
+      header.opcode = Opcode::kReconstruct;
+      header.request_id = 2 * i + 2;
+      header.payload_len = static_cast<uint32_t>(payload.size());
+      EncodeFrame(header, payload.data(), payload.size(), &stream);
+      expected[header.request_id] = {
+          Opcode::kReconstruct, {}, BruteForceExact(*h.tree, sets[s])};
+    }
+  }
+  ASSERT_GE(response_bytes, 500u * 1024);
+
+  const int fd = RawConnect(h.server->address());
+  // A response the server never finishes fails the read, not the suite's
+  // clock.
+  const timeval read_limit{10, 0};
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_limit,
+                       sizeof(read_limit)),
+            0);
+  ASSERT_EQ(send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stream.size()));
+  // Give the workers time to answer into a reader that is not reading.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const size_t total = expected.size();
+  for (size_t answered = 0; answered < total; ++answered) {
+    uint8_t head[kFrameHeaderBytes];
+    ASSERT_TRUE(RawRead(fd, head, sizeof(head))) << "after " << answered;
+    DecodedHeader decoded;
+    ASSERT_TRUE(DecodeHeader(head, sizeof(head), 1u << 24, &decoded).ok());
+    std::vector<uint8_t> payload(decoded.header.payload_len);
+    ASSERT_TRUE(RawRead(fd, payload.data(), payload.size()));
+    EXPECT_EQ(FrameDigest(head, payload.data(), payload.size()),
+              decoded.digest);
+    ASSERT_EQ(decoded.header.status, WireStatus::kOk)
+        << std::string(payload.begin(), payload.end());
+    auto it = expected.find(decoded.header.request_id);
+    ASSERT_NE(it, expected.end()) << decoded.header.request_id;
+    ASSERT_EQ(decoded.header.opcode, it->second.opcode);
+    if (it->second.opcode == Opcode::kSample) {
+      std::vector<std::optional<uint64_t>> draws;
+      ASSERT_TRUE(DecodeDraws(payload.data(), payload.size(), &draws).ok());
+      EXPECT_EQ(draws, it->second.draws) << decoded.header.request_id;
+    } else {
+      std::vector<uint64_t> ids;
+      ASSERT_TRUE(DecodeIdList(payload.data(), payload.size(), &ids).ok());
+      EXPECT_EQ(ids, it->second.ids) << decoded.header.request_id;
+    }
+    expected.erase(it);
+  }
+  EXPECT_TRUE(expected.empty());
+  close(fd);
 }
 
 TEST(ServerTest, IdleAndSlowLorisConnectionsAreClosed) {

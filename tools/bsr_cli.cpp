@@ -408,8 +408,15 @@ Status CmdBuild(const Flags& flags) {
       return BloomSampleForest::BuildComplete(forest_config);
     }();
     if (!forest.ok()) return forest.status();
-    const Status saved =
-        SaveForestToFile(forest.value(), out_path.value(), save_options);
+    // The old artifact's logs go first (see the tree branch below).
+    FileSystem* fs = FileSystem::Default();
+    Status saved = RetireLogs(fs, out_path.value());
+    for (uint32_t s = 0; saved.ok() && s < forest.value().shard_count(); ++s) {
+      saved = RetireLogs(fs, ForestShardPath(out_path.value(), s));
+    }
+    if (saved.ok()) {
+      saved = SaveForestToFile(forest.value(), out_path.value(), save_options);
+    }
     if (!saved.ok()) return saved;
     std::printf(
         "built %s forest: %u shards (width %llu), m=%llu bits, depth=%u, "
@@ -435,8 +442,14 @@ Status CmdBuild(const Flags& flags) {
   }();
   if (!tree.ok()) return tree.status();
 
-  const Status saved = SaveTreeToFile(tree.value(), out_path.value(),
-                                      save_options);
+  // A rebuild over an existing artifact must not replay its log into the
+  // new image: retire the log durably before the image is installed, so a
+  // crash can leave the old image without its log but never the new image
+  // with a stale one.
+  Status saved = RetireLogs(FileSystem::Default(), out_path.value());
+  if (saved.ok()) {
+    saved = SaveTreeToFile(tree.value(), out_path.value(), save_options);
+  }
   if (!saved.ok()) return saved;
   std::printf("built %s tree: m=%llu bits, depth=%u, %zu nodes, %.2f MB, "
               "%.2f s -> %s (%s, %s layout)\n",
@@ -1320,11 +1333,17 @@ int Main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   Status status = Status::OK();
+  // A command line Flags::Parse rejects (unknown flag, missing value,
+  // stray argument) is a usage error, like an unknown command.
+  bool usage_error = false;
   const auto run = [&](const std::vector<std::string>& value_flags,
                        const std::vector<std::string>& bool_flags,
                        Status (*handler)(const Flags&)) {
     Result<Flags> flags = Flags::Parse(argc, argv, 2, value_flags, bool_flags);
-    if (!flags.ok()) return flags.status();
+    if (!flags.ok()) {
+      usage_error = true;
+      return flags.status();
+    }
     return handler(flags.value());
   };
 
@@ -1375,6 +1394,7 @@ int Main(int argc, char** argv) {
         {"addr", "filter", "count", "seed", "ids", "deadline-ms",
          "timeout-ms", "retries"},
         {"exact"});
+    usage_error = !flags.ok();
     status = flags.ok() ? CmdClient(argv[2], flags.value()) : flags.status();
   } else if (command == "--help" || command == "-h" || command == "help") {
     PrintUsage();
@@ -1387,6 +1407,7 @@ int Main(int argc, char** argv) {
 
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    if (usage_error) return kExitUsage;
     if (status.code() == Status::Code::kQuarantined) return kExitQuarantined;
     if (status.code() == Status::Code::kReadOnly) return kExitReadOnly;
     if (g_snapshot_exit_hint != 0) return g_snapshot_exit_hint;
