@@ -16,14 +16,22 @@
 //                 benchmark)
 //
 // Output: a JSON array on stdout. Every row carries the host's core count
-// ("nproc") and active SIMD tier ("simd"). One row per (policy, variant):
+// ("nproc") and active SIMD tier ("simd"). One row per (geometry, policy,
+// variant):
 //   {"bench": "micro_ingest", "variant": "ingest", "policy": "no-wal",
-//    "inserts": <K>, "ms": <double>, "inserts_per_sec": <double>, ...}
+//    "inserts": <K>, "ms": <double>, "inserts_per_sec": <double>,
+//    "p50_us": <double>, "p90_us": <double>, ...}
 //   {"bench": "micro_ingest", "variant": "queue", "policy": "...",
 //    "inserts": <K>, "ms": <double>, "inserts_per_sec": <double>,
 //    "commit_groups": <g>, "fsyncs": <f>, ...}
 //   {"bench": "micro_ingest", "variant": "reopen", "policy": "...",
 //    "replayed": <K>, "open_ms": <double>, ...}
+//
+// Two geometries ("namespace" tells them apart): M = 1e6 with m = 1e6 and
+// every 100th id occupied, and the e2e ingest_mixed one — M = 1e7,
+// MakeConfigForAccuracy(0.9, n = 1000, k = 3), every 10th id occupied (8 MB
+// of ids), 2000 fresh ids at random offsets. The "ingest" row times each
+// in-memory Insert alone for its p50/p90.
 //
 // The "queue" variant is what `bsr insert` runs: one producer Pushes every
 // id onto the pipeline's bounded queue, then Flushes once; its writer
@@ -46,10 +54,12 @@
 // BSR_BENCH_ROUNDS sets the insert count; BSR_BENCH_FULL=1 raises the
 // default. The quick default finishes in seconds (fsync-per-commit is the
 // slow leg by design).
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +70,7 @@
 #include "src/core/query_context.h"
 #include "src/core/tree_io.h"
 #include "src/core/wal.h"
+#include "src/util/rng.h"
 #include "src/util/simd.h"
 #include "src/util/timer.h"
 
@@ -71,6 +82,14 @@ struct PolicySpec {
   const char* name;
   bool use_wal;
   WalSyncPolicy policy;
+};
+
+/// A tree the first section runs every policy on: its config, the ids it
+/// is built over, and the fresh ids ingested into it.
+struct Geometry {
+  TreeConfig config;
+  std::vector<uint64_t> base;
+  std::vector<uint64_t> fresh;
 };
 
 }  // namespace
@@ -102,9 +121,24 @@ int main() {
     fresh.push_back((1 + 100 * i) % namespace_size);
   }
 
-  auto built = BloomSampleTree::BuildPruned(config, base);
-  BSR_CHECK(built.ok(), "micro_ingest: BuildPruned failed");
-  const BloomSampleTree& reference = built.value();
+  // The e2e ingest_mixed geometry: 10% of 1e7 ids occupied (8 MB of ids),
+  // and fresh ids at random offsets among them.
+  Geometry paper;
+  auto paper_config = MakeConfigForAccuracy(
+      0.9, /*n=*/1000, /*k=*/3, /*namespace_size=*/10000000,
+      HashFamilyKind::kSimple, env.seed);
+  BSR_CHECK(paper_config.ok(), "micro_ingest: paper config");
+  paper.config = paper_config.value();
+  const uint64_t paper_ns = paper.config.namespace_size;
+  for (uint64_t x = 0; x < paper_ns; x += 10) paper.base.push_back(x);
+  Rng rng(env.seed);
+  std::set<uint64_t> picked;
+  while (picked.size() < 2000) {
+    picked.insert(10 * rng.Below(paper_ns / 10) + 1 + rng.Below(9));
+  }
+  paper.fresh.assign(picked.begin(), picked.end());
+  std::shuffle(paper.fresh.begin(), paper.fresh.end(), rng);
+  const Geometry geometries[] = {{config, base, fresh}, std::move(paper)};
 
   const std::vector<PolicySpec> specs = {
       {"no-wal", false, WalSyncPolicy::kNone},
@@ -115,86 +149,104 @@ int main() {
 
   std::printf("[\n");
   bool first = true;
-  for (const PolicySpec& spec : specs) {
-    const std::string path =
-        std::string("/tmp/bsr_micro_ingest_") + spec.name + ".bst";
-    std::remove(path.c_str());
-    std::remove(WalPathFor(path).c_str());
-    std::remove(OldWalPathFor(path).c_str());
-    BSR_CHECK(SaveTreeToFile(reference, path).ok(), "micro_ingest: save");
+  for (const Geometry& g : geometries) {
+    auto g_built = BloomSampleTree::BuildPruned(g.config, g.base);
+    BSR_CHECK(g_built.ok(), "micro_ingest: BuildPruned failed");
+    const uint64_t g_inserts = g.fresh.size();
+    for (const PolicySpec& spec : specs) {
+      const std::string path =
+          std::string("/tmp/bsr_micro_ingest_") + spec.name + ".bst";
+      std::remove(path.c_str());
+      std::remove(WalPathFor(path).c_str());
+      std::remove(OldWalPathFor(path).c_str());
+      BSR_CHECK(SaveTreeToFile(g_built.value(), path).ok(),
+                "micro_ingest: save");
 
-    LoadOptions heap;
-    heap.mode = LoadMode::kHeap;
-    auto loaded = LoadTreeFromFile(path, heap);
-    BSR_CHECK(loaded.ok(), "micro_ingest: load");
-    auto tree =
-        std::make_shared<BloomSampleTree>(std::move(loaded).value());
+      LoadOptions heap;
+      heap.mode = LoadMode::kHeap;
+      auto loaded = LoadTreeFromFile(path, heap);
+      BSR_CHECK(loaded.ok(), "micro_ingest: load");
+      auto tree =
+          std::make_shared<BloomSampleTree>(std::move(loaded).value());
 
-    if (!spec.use_wal) {
-      Timer timer;
-      for (uint64_t id : fresh) {
-        BSR_CHECK(tree->Insert(id).ok(), "micro_ingest: insert");
+      if (!spec.use_wal) {
+        // Each Insert timed alone: what a served INSERT holds the lane's
+        // exclusive lock for, minus the log.
+        std::vector<double> us;
+        Timer timer;
+        for (uint64_t id : g.fresh) {
+          Timer one;
+          BSR_CHECK(tree->Insert(id).ok(), "micro_ingest: insert");
+          us.push_back(one.ElapsedMicros());
+        }
+        const double ingest_ms = timer.ElapsedMillis();
+        std::sort(us.begin(), us.end());
+        std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": "
+                    "\"ingest\", \"policy\": \"%s\", \"inserts\": %" PRIu64
+                    ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, "
+                    "\"p50_us\": %.2f, \"p90_us\": %.2f, \"m\": %" PRIu64
+                    ", \"namespace\": %" PRIu64
+                    ", \"nproc\": %u, \"simd\": \"%s\"}",
+                    first ? "" : ",\n", spec.name, g_inserts, ingest_ms,
+                    static_cast<double>(g_inserts) / (ingest_ms / 1e3),
+                    us[us.size() / 2], us[us.size() * 9 / 10], g.config.m,
+                    g.config.namespace_size, nproc, simd_tier);
+      } else {
+        IngestPipelineOptions options;
+        options.wal.policy = spec.policy;
+        auto opened = IngestPipeline::OpenTree(tree, path, options);
+        BSR_CHECK(opened.ok(), "micro_ingest: pipeline open");
+        std::unique_ptr<IngestPipeline> pipeline = std::move(opened).value();
+        Timer timer;
+        for (uint64_t id : g.fresh) {
+          WalMutation mut;
+          mut.id = id;
+          BSR_CHECK(pipeline->Push(mut).ok(), "micro_ingest: push");
+        }
+        BSR_CHECK(pipeline->Flush().ok(), "micro_ingest: flush");
+        BSR_CHECK(pipeline->Close().ok(), "micro_ingest: pipeline close");
+        const double ingest_ms = timer.ElapsedMillis();
+        const IngestPipelineStats stats = pipeline->Stats();
+        std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": "
+                    "\"queue\", \"policy\": \"%s\", \"inserts\": %" PRIu64
+                    ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, "
+                    "\"commit_groups\": %" PRIu64 ", \"fsyncs\": %" PRIu64
+                    ", \"m\": %" PRIu64 ", \"namespace\": %" PRIu64
+                    ", \"nproc\": %u, \"simd\": \"%s\"}",
+                    first ? "" : ",\n", spec.name, g_inserts, ingest_ms,
+                    static_cast<double>(g_inserts) / (ingest_ms / 1e3),
+                    stats.commit_groups, stats.fsyncs, g.config.m,
+                    g.config.namespace_size, nproc, simd_tier);
       }
-      const double ingest_ms = timer.ElapsedMillis();
-      std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": "
-                  "\"ingest\", \"policy\": \"%s\", \"inserts\": %" PRIu64
-                  ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, \"m\": %" PRIu64
+      first = false;
+
+      // Reopen cost: for WAL policies this replays every record — the
+      // recovery work the log pushes to the next open.
+      Timer open_timer;
+      TreeLoadInfo info;
+      auto reopened = LoadTreeFromFile(path, heap, &info);
+      const double open_ms = open_timer.ElapsedMillis();
+      BSR_CHECK(reopened.ok(), "micro_ingest: reopen");
+      BSR_CHECK(reopened.value().occupied_count() ==
+                    g.base.size() + (spec.use_wal ? g_inserts : 0),
+                "micro_ingest: reopen lost records");
+      std::printf(",\n  {\"bench\": \"micro_ingest\", \"variant\": "
+                  "\"reopen\", \"policy\": \"%s\", \"replayed\": %" PRIu64
+                  ", \"open_ms\": %.3f, \"m\": %" PRIu64
                   ", \"namespace\": %" PRIu64
                   ", \"nproc\": %u, \"simd\": \"%s\"}",
-                  first ? "" : ",\n", spec.name, inserts, ingest_ms,
-                  static_cast<double>(inserts) / (ingest_ms / 1e3), config.m,
-                  namespace_size, nproc, simd_tier);
-    } else {
-      IngestPipelineOptions options;
-      options.wal.policy = spec.policy;
-      auto opened = IngestPipeline::OpenTree(tree, path, options);
-      BSR_CHECK(opened.ok(), "micro_ingest: pipeline open");
-      std::unique_ptr<IngestPipeline> pipeline = std::move(opened).value();
-      Timer timer;
-      for (uint64_t id : fresh) {
-        WalMutation mut;
-        mut.id = id;
-        BSR_CHECK(pipeline->Push(mut).ok(), "micro_ingest: push");
-      }
-      BSR_CHECK(pipeline->Flush().ok(), "micro_ingest: flush");
-      BSR_CHECK(pipeline->Close().ok(), "micro_ingest: pipeline close");
-      const double ingest_ms = timer.ElapsedMillis();
-      const IngestPipelineStats stats = pipeline->Stats();
-      std::printf("%s  {\"bench\": \"micro_ingest\", \"variant\": "
-                  "\"queue\", \"policy\": \"%s\", \"inserts\": %" PRIu64
-                  ", \"ms\": %.3f, \"inserts_per_sec\": %.0f, "
-                  "\"commit_groups\": %" PRIu64 ", \"fsyncs\": %" PRIu64
-                  ", \"m\": %" PRIu64 ", \"namespace\": %" PRIu64
-                  ", \"nproc\": %u, \"simd\": \"%s\"}",
-                  first ? "" : ",\n", spec.name, inserts, ingest_ms,
-                  static_cast<double>(inserts) / (ingest_ms / 1e3),
-                  stats.commit_groups, stats.fsyncs, config.m,
-                  namespace_size, nproc, simd_tier);
+                  spec.name, info.wal_records_replayed, open_ms, g.config.m,
+                  g.config.namespace_size, nproc, simd_tier);
+
+      std::remove(path.c_str());
+      std::remove(WalPathFor(path).c_str());
     }
-    first = false;
-
-    // Reopen cost: for WAL policies this replays every record — the
-    // recovery work the log pushes to the next open.
-    Timer open_timer;
-    TreeLoadInfo info;
-    auto reopened = LoadTreeFromFile(path, heap, &info);
-    const double open_ms = open_timer.ElapsedMillis();
-    BSR_CHECK(reopened.ok(), "micro_ingest: reopen");
-    BSR_CHECK(reopened.value().occupied().size() ==
-                  base.size() + (spec.use_wal ? inserts : 0),
-              "micro_ingest: reopen lost records");
-    std::printf(",\n  {\"bench\": \"micro_ingest\", \"variant\": \"reopen\", "
-                "\"policy\": \"%s\", \"replayed\": %" PRIu64
-                ", \"open_ms\": %.3f, \"m\": %" PRIu64
-                ", \"namespace\": %" PRIu64 ", \"nproc\": %u, \"simd\": \"%s\"}",
-                spec.name, info.wal_records_replayed, open_ms, config.m,
-                namespace_size, nproc, simd_tier);
-
-    std::remove(path.c_str());
-    std::remove(WalPathFor(path).c_str());
   }
 
   // ---- concurrent ingest through the pipeline (group commit) ----------
+  auto built = BloomSampleTree::BuildPruned(config, base);
+  BSR_CHECK(built.ok(), "micro_ingest: BuildPruned failed");
+  const BloomSampleTree& reference = built.value();
   struct ConcurrentSpec {
     const char* policy_name;
     WalSyncPolicy policy;
@@ -271,7 +323,7 @@ int main() {
     TreeLoadInfo info;
     auto reopened = LoadTreeFromFile(path, heap, &info);
     BSR_CHECK(reopened.ok(), "micro_ingest: mt reopen");
-    BSR_CHECK(reopened.value().occupied().size() == base.size() + total,
+    BSR_CHECK(reopened.value().occupied_count() == base.size() + total,
               "micro_ingest: mt reopen lost records");
 
     std::printf(",\n  {\"bench\": \"micro_ingest\", \"variant\": "

@@ -157,7 +157,7 @@ size_t BloomSampleForest::MemoryBytes() const {
 uint64_t BloomSampleForest::occupied_count() const {
   uint64_t total = 0;
   for (const BloomSampleTree& shard : shards_) {
-    total += shard.occupied().size();
+    total += shard.occupied_count();
   }
   return total;
 }
@@ -417,7 +417,7 @@ Status WriteManifestDurable(const BloomSampleForest& forest,
   writer.WriteU64(forest.shard_width());
   for (uint32_t s = 0; s < forest.shard_count(); ++s) {
     writer.WriteU64(forest.shard(s).node_count());
-    writer.WriteU64(forest.shard(s).occupied().size());
+    writer.WriteU64(forest.shard(s).occupied_count());
   }
   const uint64_t digest = XxHash64::Hash(buf.str().data(), buf.str().size());
   BinaryWriter tail(&buf);
@@ -571,13 +571,15 @@ Result<BloomSampleForest> LoadForestFromFile(const std::string& path,
     // shards — no log present.
     if (!info->shards[s].wal_present &&
         (tree.value().node_count() != node_counts[s] ||
-         tree.value().occupied().size() != occupied_counts[s])) {
+         tree.value().occupied_count() != occupied_counts[s])) {
       return Status::InvalidArgument(
           "shard snapshot shape disagrees with the forest manifest");
     }
-    const std::vector<uint64_t>& occ = tree.value().occupied();
-    if (!occ.empty() && (occ.front() < s * width ||
-                         occ.back() >= (s + 1) * width)) {
+    bool outside = false;
+    tree.value().ForEachOccupied([&](uint64_t x) {
+      outside |= x < s * width || x >= (s + 1) * width;
+    });
+    if (outside) {
       return Status::InvalidArgument(
           "shard snapshot holds keys outside its namespace slice");
     }

@@ -132,9 +132,9 @@ uint64_t BloomSampleTree::PrunedSplitPoint(uint32_t level, uint64_t lo,
                                            size_t begin, size_t end) const {
   const uint64_t mid = lo + RangeWidthAtLevel(level + 1);
   return static_cast<uint64_t>(
-      std::lower_bound(occupied_.begin() + static_cast<ptrdiff_t>(begin),
-                       occupied_.begin() + static_cast<ptrdiff_t>(end), mid) -
-      occupied_.begin());
+      std::lower_bound(base_ids_.begin() + static_cast<ptrdiff_t>(begin),
+                       base_ids_.begin() + static_cast<ptrdiff_t>(end), mid) -
+      base_ids_.begin());
 }
 
 uint64_t BloomSampleTree::CountPrunedNodes(uint32_t level, uint64_t lo,
@@ -202,24 +202,24 @@ Result<BloomSampleTree> BloomSampleTree::BuildPruned(
   }
 
   BloomSampleTree tree(config, std::move(family), /*pruned=*/true);
-  tree.occupied_ = std::move(occupied);
+  tree.base_ids_ = std::move(occupied);
   const uint64_t root_width = tree.RangeWidthAtLevel(0);
 
   // Pass 1 (serial): node structure in DFS preorder — ids are therefore
-  // independent of build_threads — plus each leaf's slice of occupied_.
+  // independent of build_threads — plus each leaf's slice of base_ids_.
   // A counting pre-pass sizes the arena exactly, so the whole pruned tree
   // lands in one contiguous slab.
   const uint64_t pruned_nodes =
-      tree.CountPrunedNodes(0, 0, root_width, 0, tree.occupied_.size());
+      tree.CountPrunedNodes(0, 0, root_width, 0, tree.base_ids_.size());
   tree.arena_.Reserve(pruned_nodes);
   tree.nodes_.reserve(static_cast<size_t>(pruned_nodes));
   std::vector<LeafFill> leaf_fills;
-  tree.BuildPrunedSubtree(0, 0, root_width, 0, tree.occupied_.size(),
+  tree.BuildPrunedSubtree(0, 0, root_width, 0, tree.base_ids_.size(),
                           &leaf_fills);
   BSR_CHECK(tree.nodes_.size() == pruned_nodes,
             "pruned counting pass disagrees with the structure pass");
 
-  // Pass 2: leaves fill independently from disjoint occupied_ slices.
+  // Pass 2: leaves fill independently from disjoint base_ids_ slices.
   ThreadPool pool(config.build_threads);
   pool.ParallelFor(
       0, leaf_fills.size(), GrainFor(leaf_fills.size(), pool.thread_count()),
@@ -227,7 +227,7 @@ Result<BloomSampleTree> BloomSampleTree::BuildPruned(
         for (uint64_t f = lo; f < hi; ++f) {
           const LeafFill& fill = leaf_fills[static_cast<size_t>(f)];
           tree.nodes_[static_cast<size_t>(fill.id)].filter.InsertBatch(
-              tree.occupied_.data() + fill.begin, fill.end - fill.begin);
+              tree.base_ids_.data() + fill.begin, fill.end - fill.begin);
         }
       });
 
@@ -345,9 +345,56 @@ uint64_t BloomSampleTree::LeafCandidateCount(int64_t id) const {
 uint64_t BloomSampleTree::SubtreeCandidateCount(int64_t id) const {
   const Node& n = node(id);
   if (!pruned_) return n.hi - n.lo;
-  const auto begin = std::lower_bound(occupied_.begin(), occupied_.end(), n.lo);
-  const auto end = std::lower_bound(begin, occupied_.end(), n.hi);
-  return static_cast<uint64_t>(end - begin);
+  const auto begin = std::lower_bound(base_ids_.begin(), base_ids_.end(), n.lo);
+  const auto end = std::lower_bound(begin, base_ids_.end(), n.hi);
+  const uint64_t listed =
+      insert_lists_.empty() ? 0
+                            : insert_lists_[static_cast<size_t>(id)].in_subtree;
+  return static_cast<uint64_t>(end - begin) + listed;
+}
+
+std::vector<int64_t> BloomSampleTree::LeavesWithInserts() const {
+  std::vector<int64_t> leaves;
+  for (size_t id = 0; id < insert_lists_.size(); ++id) {
+    if (!insert_lists_[id].ids.empty()) {
+      leaves.push_back(static_cast<int64_t>(id));
+    }
+  }
+  std::sort(leaves.begin(), leaves.end(), [this](int64_t a, int64_t b) {
+    return node(a).lo < node(b).lo;
+  });
+  return leaves;
+}
+
+int64_t BloomSampleTree::LeafOf(uint64_t x, std::vector<int64_t>* path) const {
+  int64_t id = root();
+  while (id != kNoNode) {
+    const Node& current = nodes_[static_cast<size_t>(id)];
+    if (x < current.lo || x >= current.hi) return kNoNode;
+    if (path != nullptr) path->push_back(id);
+    if (current.level == config_.depth) return id;
+    const uint64_t mid = current.lo + RangeWidthAtLevel(current.level + 1);
+    id = x < mid ? current.left : current.right;
+  }
+  return kNoNode;
+}
+
+bool BloomSampleTree::IsOccupied(uint64_t x) const {
+  if (!pruned_) return false;
+  if (std::binary_search(base_ids_.begin(), base_ids_.end(), x)) return true;
+  if (insert_lists_.empty()) return false;
+  const int64_t leaf = LeafOf(x);
+  if (leaf == kNoNode) return false;
+  const std::vector<uint64_t>& list =
+      insert_lists_[static_cast<size_t>(leaf)].ids;
+  return std::binary_search(list.begin(), list.end(), x);
+}
+
+std::vector<uint64_t> BloomSampleTree::OccupiedIds() const {
+  std::vector<uint64_t> ids;
+  ids.reserve(static_cast<size_t>(occupied_count()));
+  ForEachOccupied([&ids](uint64_t x) { ids.push_back(x); });
+  return ids;
 }
 
 void BloomSampleTree::ScanLeafCandidates(int64_t id, const BloomFilter& query,
@@ -375,25 +422,28 @@ void BloomSampleTree::EnsureExactIndex() const {
   if (idx.built.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(idx.mu);
   if (idx.built.load(std::memory_order_relaxed)) return;
-  // Pass 1 counts each bucket into offsets[b]; the inclusive prefix sum
-  // turns offsets[b] into bucket b's end. Pass 2 walks occupied_
-  // backwards and places each id at --offsets[h_0(x)], which leaves
-  // offsets[b] at bucket b's start and every bucket ascending. Hashing
-  // twice keeps the build's peak memory at the index's own size.
+  // Pass 1 counts each bucket into offsets[b]; the exclusive prefix sum
+  // turns offsets[b] into bucket b's start. Pass 2 walks the occupied ids
+  // ascending and places each at offsets[h_0(x)]++, which leaves offsets[b]
+  // at bucket b's end and every bucket ascending; shifting by one slot
+  // restores the starts. Hashing twice over the merged walk keeps the
+  // build's peak memory at the index's own size.
   const HashFamily& family = *family_;
-  const size_t n = occupied_.size();
   idx.offsets.assign(static_cast<size_t>(config_.m) + 1, 0);
-  for (uint64_t x : occupied_) ++idx.offsets[family.Hash(0, x)];
-  uint32_t end = 0;
+  ForEachOccupied([&](uint64_t x) { ++idx.offsets[family.Hash(0, x)]; });
+  uint32_t start = 0;
   for (uint32_t& offset : idx.offsets) {
-    end += offset;
-    offset = end;
+    const uint32_t count = offset;
+    offset = start;
+    start += count;
   }
-  idx.ids.resize(n);
-  for (size_t i = n; i-- > 0;) {
-    const uint64_t x = occupied_[i];
-    idx.ids[--idx.offsets[family.Hash(0, x)]] = static_cast<uint32_t>(x);
-  }
+  idx.ids.resize(start);
+  ForEachOccupied([&](uint64_t x) {
+    idx.ids[idx.offsets[family.Hash(0, x)]++] = static_cast<uint32_t>(x);
+  });
+  std::copy_backward(idx.offsets.begin(), idx.offsets.end() - 1,
+                     idx.offsets.end());
+  idx.offsets[0] = 0;
   idx.pending.clear();
   idx.removals = 0;
   ++idx.generation;
@@ -481,10 +531,7 @@ void BloomSampleTree::UpdateExactMembers(const BloomFilter& query,
   answer->erase(std::unique(answer->begin(), answer->end()), answer->end());
   if (now.removals > 0) {
     answer->erase(std::remove_if(answer->begin(), answer->end(),
-                                 [this](uint64_t x) {
-                                   return !std::binary_search(
-                                       occupied_.begin(), occupied_.end(), x);
-                                 }),
+                                 [this](uint64_t x) { return !IsOccupied(x); }),
                   answer->end());
   }
   *at = now;
@@ -511,18 +558,16 @@ Status BloomSampleTree::Insert(uint64_t x) {
   if (x >= config_.namespace_size) {
     return Status::OutOfRange("id beyond namespace");
   }
-  const auto it = std::lower_bound(occupied_.begin(), occupied_.end(), x);
-  if (it != occupied_.end() && *it == x) {
-    return Status::OK();  // already present — filters already contain x
-  }
-  occupied_.insert(it, x);
+  if (IsOccupied(x)) return Status::OK();  // filters already contain x
   NoteExactIndexMutation(/*inserted=*/true, x);
 
-  // Walk the root-to-leaf path, creating missing nodes.
+  // Walk the root-to-leaf path, creating missing nodes, and count x as a
+  // listed id of every node on it.
   if (nodes_.empty()) {
     nodes_.emplace_back(0, std::min(RangeWidthAtLevel(0), config_.namespace_size),
                         0u, family_, &arena_);
   }
+  insert_lists_.resize(nodes_.size());
   int64_t id = 0;
   for (;;) {
     Node& current = nodes_[static_cast<size_t>(id)];
@@ -530,14 +575,11 @@ Status BloomSampleTree::Insert(uint64_t x) {
               "insert walked outside node range");
     current.filter.Insert(x);
     current.set_bits = current.filter.SetBitCount();
+    InsertList& listed = insert_lists_[static_cast<size_t>(id)];
+    ++listed.in_subtree;
     if (current.level == config_.depth) {
-      if (counting_leaves_) {
-        auto cit = leaf_counters_.find(id);
-        if (cit == leaf_counters_.end()) {
-          cit = leaf_counters_.emplace(id, CountingBloomFilter(family_)).first;
-        }
-        cit->second.Insert(x);
-      }
+      listed.ids.insert(
+          std::lower_bound(listed.ids.begin(), listed.ids.end(), x), x);
       return Status::OK();
     }
 
@@ -553,44 +595,13 @@ Status BloomSampleTree::Insert(uint64_t x) {
       nodes_.emplace_back(child_lo,
                           std::min(child_hi, config_.namespace_size),
                           child_level, family_, &arena_);
+      insert_lists_.emplace_back();
       // emplace_back may have reallocated: re-resolve the parent.
       Node& parent = nodes_[static_cast<size_t>(id)];
       (go_left ? parent.left : parent.right) = child;
     }
     id = child;
   }
-}
-
-Status BloomSampleTree::EnableCountingLeaves() {
-  if (!pruned_) {
-    return Status::Unsupported(
-        "counting leaves require a pruned tree (complete trees have no "
-        "dynamic occupancy to maintain)");
-  }
-  if (counting_leaves_) return Status::OK();
-  leaf_counters_.clear();
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.level != config_.depth) continue;
-    CountingBloomFilter counter(family_);
-    auto it = std::lower_bound(occupied_.begin(), occupied_.end(), n.lo);
-    for (; it != occupied_.end() && *it < n.hi; ++it) counter.Insert(*it);
-    leaf_counters_.emplace(static_cast<int64_t>(i), std::move(counter));
-  }
-  counting_leaves_ = true;
-  return Status::OK();
-}
-
-void BloomSampleTree::RebuildLeafFromCounters(int64_t leaf_id) {
-  Node& leaf = nodes_[static_cast<size_t>(leaf_id)];
-  const CountingBloomFilter& counter = leaf_counters_.at(leaf_id);
-  leaf.filter.Clear();
-  BitVector& bits = leaf.filter.mutable_bits();
-  const uint64_t m = counter.m();
-  for (uint64_t i = 0; i < m; ++i) {
-    if (counter.counter(i) > 0) bits.Set(static_cast<size_t>(i));
-  }
-  leaf.set_bits = leaf.filter.SetBitCount();
 }
 
 Status BloomSampleTree::Remove(uint64_t x) {
@@ -601,50 +612,37 @@ Status BloomSampleTree::Remove(uint64_t x) {
   if (x >= config_.namespace_size) {
     return Status::OutOfRange("id beyond namespace");
   }
-  if (!counting_leaves_) {
-    return Status::Unsupported(
-        "remove requires the counting-bloom leaf backend: plain Bloom "
-        "filters cannot unset bits — call EnableCountingLeaves() first");
-  }
-  const auto it = std::lower_bound(occupied_.begin(), occupied_.end(), x);
-  if (it == occupied_.end() || *it != x) {
+  const auto base_it = std::lower_bound(base_ids_.begin(), base_ids_.end(), x);
+  const bool in_base = base_it != base_ids_.end() && *base_it == x;
+  std::vector<int64_t> path;
+  if (LeafOf(x, &path) == kNoNode) {
+    BSR_CHECK(!in_base, "remove path fell off the tree");
     return Status::OK();  // absent — idempotent, mirroring Insert
   }
-  occupied_.erase(it);
+  if (in_base) {
+    base_ids_.erase(base_it);
+  } else {
+    if (insert_lists_.empty()) return Status::OK();
+    std::vector<uint64_t>& list =
+        insert_lists_[static_cast<size_t>(path.back())].ids;
+    const auto it = std::lower_bound(list.begin(), list.end(), x);
+    if (it == list.end() || *it != x) return Status::OK();
+    list.erase(it);
+    for (int64_t id : path) --insert_lists_[static_cast<size_t>(id)].in_subtree;
+  }
   NoteExactIndexMutation(/*inserted=*/false, x);
 
-  // Walk the root-to-leaf path over x. Every node exists: x was occupied.
-  BSR_CHECK(!nodes_.empty(), "remove of an occupied id in an empty tree");
-  std::vector<int64_t> path;
-  int64_t id = 0;
-  for (;;) {
-    const Node& current = nodes_[static_cast<size_t>(id)];
-    BSR_CHECK(current.lo <= x && x < current.hi,
-              "remove walked outside node range");
-    path.push_back(id);
-    if (current.level == config_.depth) break;
-    const uint64_t child_width = RangeWidthAtLevel(current.level + 1);
-    const uint64_t mid = current.lo + child_width;
-    id = x < mid ? current.left : current.right;
-    BSR_CHECK(id != kNoNode, "remove path fell off the tree");
-  }
-
-  // Leaf: decrement the counters, rewrite the bit filter from the
-  // positive-counter pattern (saturated counters keep their bits set —
-  // false positives, never false negatives).
-  const auto counter_it = leaf_counters_.find(path.back());
-  BSR_CHECK(counter_it != leaf_counters_.end(),
-            "counting leaf missing for an occupied id");
-  const Status dec = counter_it->second.Remove(x);
-  if (!dec.ok()) {
-    return Status::Internal(
-        "counting leaf underflow for an id present in the occupied set: " +
-        dec.ToString());
-  }
-  RebuildLeafFromCounters(path.back());
-
-  // Ancestors bottom-up: each is the exact union of its children (Bloom
-  // union over a shared family), so the removal propagates precisely.
+  // Leaf: its filter is the union of its ids, so rebuild it from the ones
+  // that remain. Then each ancestor bottom-up as the exact union of its
+  // children (Bloom union over a shared family), so the removal
+  // propagates precisely.
+  std::vector<uint64_t> remaining;
+  ForEachLeafCandidate(path.back(),
+                       [&remaining](uint64_t y) { remaining.push_back(y); });
+  Node& leaf = nodes_[static_cast<size_t>(path.back())];
+  leaf.filter.Clear();
+  leaf.filter.InsertBatch(remaining);
+  leaf.set_bits = leaf.filter.SetBitCount();
   for (size_t i = path.size() - 1; i-- > 0;) {
     Node& n = nodes_[static_cast<size_t>(path[i])];
     n.filter.Clear();

@@ -16,7 +16,19 @@
 //     nodes whose range intersects M′ exist, and filters store only
 //     occupied elements. Leaf scans then enumerate occupied elements only,
 //     which is where the accuracy gain of Figure 15 comes from. Supports
-//     dynamic Insert() of newly occupied ids (creates nodes on demand).
+//     dynamic Insert() of newly occupied ids (creates nodes on demand) and
+//     Remove().
+//
+// Occupancy layout (pruned trees): the sorted id array the tree was built
+// or loaded with is the BASE; it never grows. Each leaf holds an INSERT
+// LIST — the ids added to its range since, ascending, at most
+// LeafRangeSize() of them — and every node counts the listed ids in its
+// subtree. Base and lists are disjoint, and a leaf scan merges its base
+// slice with its list, so readers see one ascending candidate sequence.
+// Insert costs O(log n + depth) plus one sorted insert into a leaf's list.
+// Nothing folds the lists back on a timer or a size threshold: a fresh
+// base comes only from a rebuilt image (compaction, `bsr build`), loaded
+// at open or by a SIGHUP swap.
 //
 // Pruned trees over namespaces of fewer than 2^32 ids also carry an h_0
 // index for exact reconstruction (UpdateExactMembers): the occupied ids
@@ -27,15 +39,14 @@
 #ifndef BLOOMSAMPLE_CORE_BLOOM_SAMPLE_TREE_H_
 #define BLOOMSAMPLE_CORE_BLOOM_SAMPLE_TREE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/bloom/bloom_filter.h"
-#include "src/bloom/counting_bloom.h"
 #include "src/core/tree_config.h"
 #include "src/util/filter_arena.h"
 #include "src/util/op_counters.h"
@@ -147,8 +158,31 @@ class BloomSampleTree {
     return family_;
   }
   bool pruned() const { return pruned_; }
-  /// Occupied universe (empty vector for complete trees).
-  const std::vector<uint64_t>& occupied() const { return occupied_; }
+
+  /// Number of occupied ids (0 for complete trees).
+  uint64_t occupied_count() const {
+    return base_ids_.size() +
+           (insert_lists_.empty() ? 0 : insert_lists_[0].in_subtree);
+  }
+  /// True when `x` is an occupied id of a pruned tree (complete trees have
+  /// no occupied set). O(log n + depth).
+  bool IsOccupied(uint64_t x) const;
+  /// A copy of the occupied ids, ascending (empty for complete trees).
+  std::vector<uint64_t> OccupiedIds() const;
+
+  /// Calls fn(x) for each occupied id, ascending: the base merged with
+  /// every leaf's insert list, with no copy of either.
+  template <typename Fn>
+  void ForEachOccupied(Fn&& fn) const {
+    auto it = base_ids_.begin();
+    for (int64_t leaf : LeavesWithInserts()) {
+      const Node& n = nodes_[static_cast<size_t>(leaf)];
+      for (; it != base_ids_.end() && *it < n.lo; ++it) fn(*it);
+      ForEachLeafCandidate(leaf, fn);
+      it = std::lower_bound(it, base_ids_.end(), n.hi);
+    }
+    for (; it != base_ids_.end(); ++it) fn(*it);
+  }
 
   int64_t root() const { return nodes_.empty() ? kNoNode : 0; }
   const Node& node(int64_t id) const {
@@ -166,20 +200,30 @@ class BloomSampleTree {
   /// pruned trees, the whole (clipped) range otherwise. An upper bound on
   /// the membership queries a traversal of the subtree can issue — the
   /// workload estimate behind the min_parallel_work fan-out gate.
+  /// O(log n): two searches in the base plus the node's listed-id count.
   uint64_t SubtreeCandidateCount(int64_t id) const;
 
-  /// Calls fn(x) for each element the leaf scan at `id` must test: the
-  /// occupied ids in the leaf range for pruned trees, the whole range
-  /// otherwise.
+  /// Calls fn(x) for each element the leaf scan at `id` must test,
+  /// ascending: the occupied ids in the leaf range for pruned trees (its
+  /// base slice merged with its insert list), the whole range otherwise.
   template <typename Fn>
   void ForEachLeafCandidate(int64_t id, Fn&& fn) const {
     const Node& leaf = node(id);
-    if (pruned_) {
-      auto it = std::lower_bound(occupied_.begin(), occupied_.end(), leaf.lo);
-      for (; it != occupied_.end() && *it < leaf.hi; ++it) fn(*it);
-    } else {
+    if (!pruned_) {
       for (uint64_t x = leaf.lo; x < leaf.hi; ++x) fn(x);
+      return;
     }
+    auto it = std::lower_bound(base_ids_.begin(), base_ids_.end(), leaf.lo);
+    const std::vector<uint64_t>* list = InsertListOf(id);
+    if (list == nullptr) {
+      for (; it != base_ids_.end() && *it < leaf.hi; ++it) fn(*it);
+      return;
+    }
+    const auto end = std::lower_bound(it, base_ids_.end(), leaf.hi);
+    auto li = list->begin();
+    while (it != end && li != list->end()) fn(*it < *li ? *it++ : *li++);
+    for (; it != end; ++it) fn(*it);
+    for (; li != list->end(); ++li) fn(*li);
   }
 
   /// Runs the batched membership scan of leaf `id`'s candidates against
@@ -234,31 +278,21 @@ class BloomSampleTree {
 
   /// Dynamically marks `x` as occupied (pruned trees only): inserts x into
   /// every filter on its root-to-leaf path, creating missing nodes, and
-  /// updates the occupied list. O(depth · m-bit ops + |M′|) per call; batch
-  /// rebuilds are preferable for bulk loads. Nothing is logged here: a
+  /// into its leaf's insert list. O(log n + depth · m-bit ops + one leaf's
+  /// list) per call; the base is never moved. Nothing is logged here: a
   /// durable insert goes through IngestPipeline, which appends and fences
   /// the record before it calls this. A built h_0 index logs x as pending
-  /// (or is dropped once the log passes its rebuild point).
+  /// (or is dropped once the log passes its rebuild point). Inserting an
+  /// occupied id is a no-op.
   Status Insert(uint64_t x);
 
-  /// Opt-in delete support — the counting-bloom leaf backend. Builds one
-  /// exact CountingBloomFilter per leaf from the occupied set (each id was
-  /// inserted exactly once, so the counters are true collision counts and
-  /// Remove's decrements are safe). Idempotent; pruned trees only. The
-  /// backend is an in-memory maintenance structure: snapshots do not
-  /// persist it, so re-enable after loading (WAL replay does this
-  /// automatically on the first kRemove record).
-  Status EnableCountingLeaves();
-  bool counting_leaves() const { return counting_leaves_; }
-
-  /// Dynamically removes `x` (pruned trees with counting leaves only):
-  /// drops x from the occupied list, decrements the leaf's counters and
-  /// rewrites its bit filter from the positive-counter pattern, then
-  /// rebuilds each ancestor on the path as the exact union of its
-  /// children. Unlogged, like Insert: IngestPipeline logs the kRemove
-  /// record first. Removing an absent id is a no-op (mirrors Insert's
-  /// idempotence). Without EnableCountingLeaves() the call is refused with
-  /// kUnsupported — plain Bloom leaves cannot unset bits.
+  /// Dynamically removes `x` (pruned trees only): erases it from its
+  /// leaf's insert list, or from the base (a memmove of the ids above it),
+  /// rebuilds the leaf's filter from its remaining candidates, then each
+  /// ancestor on the path as the exact union of its children. A pruned
+  /// leaf's filter is the union of its ids, so the result equals a fresh
+  /// build over the remaining set. Unlogged, like Insert: IngestPipeline
+  /// logs the kRemove record first. Removing an absent id is a no-op.
   Status Remove(uint64_t x);
 
   /// Best-effort software prefetch of node `id`'s filter payload, issued a
@@ -364,7 +398,7 @@ class BloomSampleTree {
     return config_.LeafRangeSize() << (config_.depth - level);
   }
 
-  /// A leaf's slice of the sorted occupied_ array, recorded during the
+  /// A leaf's slice of the sorted base_ids_ array, recorded during the
   /// structure pass of BuildPruned and filled (possibly in parallel)
   /// afterwards.
   struct LeafFill {
@@ -373,14 +407,14 @@ class BloomSampleTree {
     size_t end;
   };
 
-  /// Recursive pruned construction over occupied_[begin, end). Builds the
+  /// Recursive pruned construction over base_ids_[begin, end). Builds the
   /// node *structure* only — filters stay empty; each leaf's occupied
   /// slice is appended to *leaf_fills for the subsequent fill pass.
   int64_t BuildPrunedSubtree(uint32_t level, uint64_t lo, uint64_t hi,
                              size_t begin, size_t end,
                              std::vector<LeafFill>* leaf_fills);
 
-  /// The occupied_ index where a node's range splits between its children
+  /// The base_ids_ index where a node's range splits between its children
   /// — the one piece of shape logic CountPrunedNodes and BuildPrunedSubtree
   /// must share so the counting pre-pass stays in lockstep with the build
   /// (BuildPruned checks the two agree after the structure pass).
@@ -388,7 +422,7 @@ class BloomSampleTree {
                             size_t end) const;
 
   /// Counts the nodes BuildPrunedSubtree would create over
-  /// occupied_[begin, end), so the arena can reserve exactly once.
+  /// base_ids_[begin, end), so the arena can reserve exactly once.
   uint64_t CountPrunedNodes(uint32_t level, uint64_t lo, uint64_t hi,
                             size_t begin, size_t end) const;
 
@@ -401,19 +435,33 @@ class BloomSampleTree {
   /// move-only — the arena cannot be copied).
   FilterArena arena_;
   std::vector<Node> nodes_;
-  std::vector<uint64_t> occupied_;
+  /// The base: the occupied ids the tree was built or loaded with,
+  /// ascending, minus the ones removed since. Never grows.
+  std::vector<uint64_t> base_ids_;
+  /// Per node id (empty until the first Insert; then sized with nodes_): a
+  /// leaf's insert list, ascending and disjoint from the base, and for
+  /// every node the number of listed ids in its subtree.
+  struct InsertList {
+    std::vector<uint64_t> ids;
+    uint64_t in_subtree = 0;
+  };
+  std::vector<InsertList> insert_lists_;
   /// Physical placement of the filter blocks (see node_layout()). Set by
   /// the snapshot loaders; freshly built trees are id-ordered.
   NodeLayout node_layout_ = NodeLayout::kIdOrder;
-  /// The counting-bloom leaf backend (EnableCountingLeaves): node id of a
-  /// leaf → its maintenance counters. Node ids are stable (nodes are never
-  /// erased), so the map survives Insert's node creation.
-  std::unordered_map<int64_t, CountingBloomFilter> leaf_counters_;
-  bool counting_leaves_ = false;
 
-  /// Rewrites leaf `leaf_id`'s bit filter as the positive-counter pattern
-  /// of its counting backend (bit i set ⟺ counter i > 0).
-  void RebuildLeafFromCounters(int64_t leaf_id);
+  /// Leaf `id`'s insert list, or null when it is empty.
+  const std::vector<uint64_t>* InsertListOf(int64_t id) const {
+    if (insert_lists_.empty()) return nullptr;
+    const std::vector<uint64_t>& ids =
+        insert_lists_[static_cast<size_t>(id)].ids;
+    return ids.empty() ? nullptr : &ids;
+  }
+  /// The leaves whose insert lists are non-empty, in ascending range order.
+  std::vector<int64_t> LeavesWithInserts() const;
+  /// The leaf whose range holds `x`, or kNoNode when the walk from the
+  /// root falls off the tree; appends the nodes walked to *path if given.
+  int64_t LeafOf(uint64_t x, std::vector<int64_t>* path = nullptr) const;
 
   /// The h_0 index is dropped (and rebuilt by the next exact query) once
   /// the ids inserted plus removed since its build pass 1/16 of the ids it
@@ -440,8 +488,9 @@ class BloomSampleTree {
   };
   std::unique_ptr<ExactIndex> exact_index_ = std::make_unique<ExactIndex>();
 
-  /// Builds the index if no build is live (two passes over occupied_:
-  /// count per bucket, then place — peak memory is the final size).
+  /// Builds the index if no build is live (two passes over the occupied
+  /// ids, base and lists merged in place: count per bucket, then place —
+  /// peak memory is the index's own size).
   void EnsureExactIndex() const;
   /// Insert/Remove hook: on a built index, logs an inserted x as pending
   /// or counts a removal, then drops the index past the rebuild point.

@@ -15,13 +15,6 @@ Status GroupCommitWal::Commit(const std::vector<WalMutation>& muts) {
   return CommitInternal(&muts, /*force_sync=*/false);
 }
 
-Status GroupCommitWal::CommitOne(WalOp op, uint64_t id) {
-  std::vector<WalMutation> one(1);
-  one[0].op = op;
-  one[0].id = id;
-  return CommitInternal(&one, /*force_sync=*/false);
-}
-
 Status GroupCommitWal::Fence() {
   static const std::vector<WalMutation> kEmpty;
   return CommitInternal(&kEmpty, /*force_sync=*/true);

@@ -63,9 +63,6 @@ class GroupCommitWal {
   /// comment) is met or the writer latches. Empty batch = no-op.
   Status Commit(const std::vector<WalMutation>& muts);
 
-  /// Single-mutation convenience.
-  Status CommitOne(WalOp op, uint64_t id);
-
   /// Explicit durability fence regardless of policy, through the same
   /// leader discipline (safe concurrent with Commit calls).
   Status Fence();

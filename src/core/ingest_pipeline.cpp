@@ -188,14 +188,6 @@ Status IngestPipeline::Validate(const Lane& lane,
   if (mut.id >= namespace_size_) {
     return Status::OutOfRange("mutation id outside the namespace");
   }
-  if (mut.op == WalOp::kRemove) {
-    std::shared_lock<std::shared_mutex> lock = LockShared(lane);
-    if (!lane.tree->counting_leaves()) {
-      return Status::Unsupported(
-          "remove requires the counting-bloom leaf backend: call "
-          "EnableCountingLeaves() first");
-    }
-  }
   return Status::OK();
 }
 
@@ -221,11 +213,23 @@ Status IngestPipeline::Remove(uint64_t x) {
 }
 
 Status IngestPipeline::Apply(const WalMutation& mut) {
-  Lane& lane = *lanes_[LaneOf(mut.id)];
-  const Status pre = Validate(lane, mut);
-  if (!pre.ok()) return pre;
+  size_t applied = 0;
+  return Apply({mut}, &applied);
+}
+
+Status IngestPipeline::Apply(const std::vector<WalMutation>& muts,
+                             size_t* applied) {
+  *applied = 0;
+  size_t accepted = 0;
+  Status refused;
+  for (; accepted < muts.size(); ++accepted) {
+    refused = Validate(*lanes_[LaneOf(muts[accepted].id)], muts[accepted]);
+    if (!refused.ok()) break;
+  }
   // Log and fence first (concurrent callers form one fsync group), mutate
-  // second: an acknowledged mutation is durable before it is visible.
+  // second: an acknowledged mutation is durable before it is visible. Each
+  // chunk — up to max_batch consecutive mutations of one lane — shares one
+  // commit and one exclusive window, as the lane writer's segments do.
   // Concurrent sync-path mutations of the SAME id have no defined order
   // (the apply order may differ from the log order); per-id streams that
   // need ordering should go through one thread or the queue path, whose
@@ -235,12 +239,28 @@ Status IngestPipeline::Apply(const WalMutation& mut) {
   // compaction's post-rotation drain waits out any acknowledgement
   // against the pre-rotation log whose mutation has not reached the
   // tree yet (see CompactionBody step 2).
-  std::shared_lock<std::shared_mutex> window = LockWindow(lane);
-  const Status st = lane.commit->CommitOne(mut.op, mut.id);
-  if (!st.ok()) return st;
-  if (apply_pause_) apply_pause_();
-  std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
-  return ApplyToTreeLocked(&lane, mut);
+  std::vector<WalMutation> chunk;
+  for (size_t i = 0; i < accepted;) {
+    const uint32_t lane_index = LaneOf(muts[i].id);
+    Lane& lane = *lanes_[lane_index];
+    chunk.clear();
+    for (; i < accepted && chunk.size() < options_.max_batch &&
+           LaneOf(muts[i].id) == lane_index;
+         ++i) {
+      chunk.push_back(muts[i]);
+    }
+    std::shared_lock<std::shared_mutex> window = LockWindow(lane);
+    Status st = lane.commit->Commit(chunk);
+    if (!st.ok()) return st;
+    if (apply_pause_) apply_pause_();
+    std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
+    for (const WalMutation& mut : chunk) {
+      st = ApplyToTreeLocked(&lane, mut);
+      if (!st.ok()) return st;
+      ++*applied;
+    }
+  }
+  return refused;
 }
 
 Status IngestPipeline::Push(const WalMutation& mut) {
@@ -306,15 +326,6 @@ std::shared_ptr<const BloomSampleTree> IngestPipeline::tree_handle() const {
   const Lane& lane = *lanes_[0];
   std::shared_lock<std::shared_mutex> lock = LockShared(lane);
   return lane.owned;
-}
-
-Status IngestPipeline::EnableCountingLeaves() {
-  for (auto& lane : lanes_) {
-    std::unique_lock<std::shared_mutex> lock = LockExclusive(lane.get());
-    const Status st = lane->tree->EnableCountingLeaves();
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
 }
 
 bool IngestPipeline::read_only() const {
@@ -651,7 +662,7 @@ Status IngestPipeline::CompactionBody() {
     {
       std::shared_lock<std::shared_mutex> lock = LockShared(lane);
       config = lane.tree->config();
-      occupied = lane.tree->occupied();
+      occupied = lane.tree->OccupiedIds();
       family = lane.tree->family_ptr();
     }
     auto image = RebuildImage(config, std::move(occupied), std::move(family),
@@ -684,13 +695,11 @@ Status IngestPipeline::CompactionBody() {
   TreeConfig config;
   std::vector<uint64_t> occupied;
   std::shared_ptr<const HashFamily> family;
-  bool counting = false;
   {
     std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
     config = lane.tree->config();
-    occupied = lane.tree->occupied();
+    occupied = lane.tree->OccupiedIds();
     family = lane.tree->family_ptr();
-    counting = lane.tree->counting_leaves();
     lane.compacting = true;
     lane.delta.clear();
   }
@@ -720,14 +729,6 @@ Status IngestPipeline::CompactionBody() {
   {
     std::unique_lock<std::shared_mutex> lock = LockExclusive(&lane);
     BloomSampleTree next = std::move(fresh).value();
-    if (counting || lane.tree->counting_leaves()) {
-      st = next.EnableCountingLeaves();
-      if (!st.ok()) {
-        lane.compacting = false;
-        lane.delta.clear();
-        return st;
-      }
-    }
     for (const WalMutation& mut : lane.delta) {
       const Status applied = mut.op == WalOp::kRemove ? next.Remove(mut.id)
                                                       : next.Insert(mut.id);

@@ -184,6 +184,15 @@ class IngestPipeline {
   Status Remove(uint64_t x);
   Status Apply(const WalMutation& mut);
 
+  /// Durably logs and applies a frame of mutations, in order. Validates
+  /// them first and stops at the first refusal; the accepted prefix
+  /// commits in chunks of up to `max_batch` mutations of one lane, each
+  /// with one GroupCommitWal::Commit (one fsync under kEveryRecord) and one
+  /// exclusive window. Sets *applied to the number of mutations applied
+  /// and returns the first failure: a refusal, a NACKed commit or a failed
+  /// apply. bsrd answers an INSERT or REMOVE frame through this.
+  Status Apply(const std::vector<WalMutation>& muts, size_t* applied);
+
   // --- asynchronous ingest (bounded queue, backpressure) ---------------
 
   /// Enqueues fire-and-forget; returns the backpressure outcome, not the
@@ -198,9 +207,9 @@ class IngestPipeline {
   /// Barrier: waits until everything enqueued before the call is
   /// committed and applied, then fences the logs. Returns the first
   /// failure among the mutations each lane dequeued since its previous
-  /// Flush — a refusal before logging (out of range, remove on plain
-  /// leaves, quarantine), a NACKed commit (even if recovery has since
-  /// cleared the latch), a failed apply — or else the fence's own status.
+  /// Flush — a refusal before logging (out of range, quarantine), a
+  /// NACKed commit (even if recovery has since cleared the latch), a
+  /// failed apply — or else the fence's own status.
   /// OK means every such mutation is committed and applied.
   Status Flush();
 
@@ -247,10 +256,6 @@ class IngestPipeline {
   /// hold across a compaction swap, but the pipeline may move on — use
   /// AcquireRead for query passes).
   std::shared_ptr<const BloomSampleTree> tree_handle() const;
-
-  /// Enables the counting-bloom delete backend on every lane (exclusive
-  /// locks; brief stall of readers and writers).
-  Status EnableCountingLeaves();
 
   // --- degradation surface ---------------------------------------------
 
@@ -347,7 +352,7 @@ class IngestPipeline {
     std::vector<WalMutation> delta;
     /// Rotation barrier: every committer holds this shared across its
     /// whole LOG→FSYNC→MUTATE window; compaction drains it exclusively
-    /// between rotating the log and snapshotting occupied(), so no
+    /// between rotating the log and snapshotting the occupied ids, so no
     /// record frozen into .wal.old can still be waiting to mutate the
     /// tree when the new image is built (see CompactionBody step 2).
     mutable std::shared_mutex window_mu;
@@ -369,9 +374,9 @@ class IngestPipeline {
       const std::string& snapshot_path, const TreeConfig& config,
       uint64_t next_seq, const IngestPipelineOptions& options);
 
-  /// Pre-commit validation (range, delete-backend presence) — anything
-  /// the tree would refuse AFTER logging must be refused BEFORE, or the
-  /// log would replay a record the live tree rejected.
+  /// Pre-commit validation (quarantine, range) — anything the tree would
+  /// refuse AFTER logging must be refused BEFORE, or the log would replay
+  /// a record the live tree rejected.
   Status Validate(const Lane& lane, const WalMutation& mut) const;
   /// Writer-priority lock acquisition: LockExclusive advertises the
   /// waiting writer via `writers_waiting`; LockShared defers to it.

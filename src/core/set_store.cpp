@@ -52,9 +52,7 @@ Status BloomSetStore::AddSet(const std::string& name,
     if (x >= namespace_size) {
       return Status::OutOfRange("set element beyond namespace");
     }
-    if (tree_->pruned() &&
-        !std::binary_search(tree_->occupied().begin(),
-                            tree_->occupied().end(), x)) {
+    if (tree_->pruned() && !tree_->IsOccupied(x)) {
       return Status::InvalidArgument(
           "set element is not an occupied id (call AddOccupied first)");
     }
@@ -70,9 +68,7 @@ Status BloomSetStore::AddToSet(const std::string& name, uint64_t element) {
   if (element >= tree_->config().namespace_size) {
     return Status::OutOfRange("set element beyond namespace");
   }
-  if (tree_->pruned() &&
-      !std::binary_search(tree_->occupied().begin(), tree_->occupied().end(),
-                          element)) {
+  if (tree_->pruned() && !tree_->IsOccupied(element)) {
     return Status::InvalidArgument(
         "set element is not an occupied id (call AddOccupied first)");
   }

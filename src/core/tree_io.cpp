@@ -211,7 +211,7 @@ class TreeSerializer {
     writer.WriteDouble(config.intersection_threshold);
 
     writer.WriteU32(tree.pruned_ ? 1 : 0);
-    writer.WriteU64Vector(tree.occupied_);
+    writer.WriteU64Vector(tree.OccupiedIds());
 
     writer.WriteU64(tree.nodes_.size());
     for (const BloomSampleTree::Node& node : tree.nodes_) {
@@ -290,7 +290,7 @@ class TreeSerializer {
     }
 
     BloomSampleTree tree(config, std::move(family), pruned_flag == 1);
-    tree.occupied_ = std::move(occupied);
+    tree.base_ids_ = std::move(occupied);
 
     uint64_t node_count;
     BSR_READ_OR_RETURN(node_count, reader.ReadU64());
@@ -392,7 +392,7 @@ class TreeSerializer {
     const uint64_t occupied_offset =
         block_index_offset + node_count * sizeof(uint32_t);
     const uint64_t metadata_end =
-        occupied_offset + tree.occupied_.size() * sizeof(uint64_t);
+        occupied_offset + tree.occupied_count() * sizeof(uint64_t);
     const uint64_t slab_offset =
         (metadata_end + kSlabAlign - 1) / kSlabAlign * kSlabAlign;
     const uint64_t file_bytes = slab_offset + slab_bytes;
@@ -421,7 +421,7 @@ class TreeSerializer {
       header.WriteU64(config.seed);
       header.WriteDouble(config.intersection_threshold);
       header.WriteU64(node_count);
-      header.WriteU64(tree.occupied_.size());
+      header.WriteU64(tree.occupied_count());
       header.WriteU64(words_per_block);
       header.WriteU64(stride_words);
       header.WriteU64(node_table_offset);
@@ -458,7 +458,7 @@ class TreeSerializer {
     std::ostringstream occupied_buf;
     {
       BinaryWriter occupied(&occupied_buf);
-      for (uint64_t id : tree.occupied_) occupied.WriteU64(id);
+      tree.ForEachOccupied([&occupied](uint64_t id) { occupied.WriteU64(id); });
       if (!occupied.ok()) return Status::Internal("stream write failed");
     }
 
@@ -867,7 +867,7 @@ class TreeSerializer {
                                                BloomSampleTree&& tree,
                                                uint64_t* slab_base,
                                                bool checked_spans) {
-    tree.occupied_ = std::move(meta.occupied);
+    tree.base_ids_ = std::move(meta.occupied);
     tree.node_layout_ = meta.layout;
     tree.nodes_.reserve(static_cast<size_t>(meta.node_count));
     for (uint64_t id = 0; id < meta.node_count; ++id) {
@@ -1178,18 +1178,11 @@ Result<BloomSampleTree> FinishLoad(Result<BloomSampleTree> tree,
                                    TreeLoadInfo* info) {
   if (!tree.ok() || !options.replay_wal) return tree;
   BloomSampleTree& t = tree.value();
-  // kInsert applies directly; kRemove needs the counting-bloom leaf
-  // backend, which snapshots do not persist — auto-enable it on the first
-  // remove record (exact: rebuilt from the occupied set at that point).
+  // Replayed inserts land in the leaves' insert lists: a long log of
+  // inserts costs O(records · (log n + depth)), not a move of the base per
+  // record.
   auto apply = [&t](const WalRecord& rec) -> Status {
-    if (rec.op == WalOp::kRemove) {
-      if (!t.counting_leaves()) {
-        const Status enabled = t.EnableCountingLeaves();
-        if (!enabled.ok()) return enabled;
-      }
-      return t.Remove(rec.id);
-    }
-    return t.Insert(rec.id);
+    return rec.op == WalOp::kRemove ? t.Remove(rec.id) : t.Insert(rec.id);
   };
   // A background compaction rotates the live log to `<path>.wal.old` and
   // deletes it only after the image that folded it is durable. Replaying

@@ -1,5 +1,4 @@
-// Write-ahead delta log for dynamic inserts (and, with counting-bloom
-// leaves, removes).
+// Write-ahead delta log for dynamic inserts and removes.
 //
 // A v2 snapshot is an immutable bulk artifact: rewriting the whole image
 // on every Insert would turn an O(depth · m) operation into an O(file)
@@ -62,12 +61,9 @@
 
 namespace bloomsample {
 
-/// Logged mutation kinds. kRemove records replay only into trees whose
-/// leaves use the counting-bloom backend (plain Bloom filters cannot
-/// unset bits); replay surfaces a clear error otherwise. kNoop records
-/// mutate nothing — lane recovery appends one and fsyncs it to prove a
-/// reopened descriptor round-trips before un-latching; replay consumes
-/// the sequence number and moves on.
+/// Logged mutation kinds. kNoop records mutate nothing — lane recovery
+/// appends one and fsyncs it to prove a reopened descriptor round-trips
+/// before un-latching; replay consumes the sequence number and moves on.
 enum class WalOp : uint32_t { kInsert = 1, kRemove = 2, kNoop = 3 };
 
 struct WalRecord {

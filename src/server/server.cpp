@@ -733,6 +733,12 @@ void BsrServer::SendResponse(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
     if (conn->closed.load(std::memory_order_acquire)) return;
+    {
+      // Counted before the bytes can leave, so a client holding this
+      // answer always sees it in STATS.
+      std::lock_guard<std::mutex> stats_lock(stats_mu_);
+      ++stats_.responses_out;
+    }
     EncodeFrame(h, payload, payload_len, &conn->out);
     // Write from this thread; the loop takes over only what it cannot
     // finish here: the rest of a partial write (EPOLLOUT), a broken
@@ -744,15 +750,12 @@ void BsrServer::SendResponse(const std::shared_ptr<Conn>& conn,
     }
     hand_off = !sent || pending > 0 || conn->close_after_flush;
   }
-  if (hand_off) {
+  if (!hand_off) return;
+  {
     std::lock_guard<std::mutex> lock(dirty_mu_);
     dirty_.push_back(conn);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.responses_out;
-  }
-  if (hand_off) WakeLoop();
+  WakeLoop();
 }
 
 void BsrServer::SendError(const std::shared_ptr<Conn>& conn, Opcode opcode,
@@ -875,11 +878,14 @@ void BsrServer::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
         group.push_back(samples[j]);
       }
     }
-    const size_t group_size = group.size();
+    {
+      // Counted before ExecuteSampleGroup sends any answer, so a client
+      // holding one always sees its request in STATS.
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.sample_batches;
+      stats_.sample_requests += group.size();
+    }
     ExecuteSampleGroup(group);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.sample_batches;
-    stats_.sample_requests += group_size;
   }
   for (Request* req : runnable) {
     if (req->header.opcode != Opcode::kSample) ExecuteOne(req);
@@ -1021,22 +1027,17 @@ void BsrServer::ExecuteOne(Request* req) {
       const WalOp op = req->header.opcode == Opcode::kInsert
                            ? WalOp::kInsert
                            : WalOp::kRemove;
-      uint32_t applied = 0;
-      Status first;
-      for (uint64_t id : req->ids) {
-        WalMutation mut;
-        mut.op = op;
-        mut.id = id;
-        const Status st = pipeline_->Apply(mut);
-        if (!st.ok()) {
-          first = st;
-          break;
-        }
-        ++applied;
+      std::vector<WalMutation> muts(req->ids.size());
+      for (size_t i = 0; i < muts.size(); ++i) {
+        muts[i].op = op;
+        muts[i].id = req->ids[i];
       }
+      // One commit (one fsync) per max_batch ids, not one per id.
+      size_t applied = 0;
+      const Status first = pipeline_->Apply(muts, &applied);
       if (first.ok()) {
         std::vector<uint8_t> payload;
-        PutU32(applied, &payload);
+        PutU32(static_cast<uint32_t>(applied), &payload);
         SendResponse(req->conn, req->header.opcode, req->header.request_id,
                      WireStatus::kOk, 0, payload.data(), payload.size());
       } else {
@@ -1110,13 +1111,13 @@ std::string BsrServer::BuildStatsText() const {
         << "scrub.repairs=" << sc.repairs << "\n"
         << "scrub.quarantines=" << sc.quarantines << "\n";
   }
-  // Under a read guard: INSERT reallocates occupied_ under the lane's
-  // exclusive lock, and the index gauges belong to the guarded generation
-  // (a swap retires the old tree's index with it).
+  // Under a read guard: INSERT and REMOVE change the occupied ids under
+  // the lane's exclusive lock, and the index gauges belong to the guarded
+  // generation (a swap retires the old tree's index with it).
   const IngestPipeline::ReadGuard guard = pipeline_->AcquireRead();
   const BloomSampleTree& tree = guard.tree();
   const BloomSampleTree::ExactIndexStats index = tree.exact_index_stats();
-  out << "tree.occupied=" << tree.occupied().size() << "\n"
+  out << "tree.occupied=" << tree.occupied_count() << "\n"
       << "tree.namespace_size=" << tree.config().namespace_size << "\n"
       << "tree.exact_index_bytes=" << index.bytes << "\n"
       << "tree.exact_index_builds=" << index.builds << "\n"

@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "src/core/bst_reconstructor.h"
+#include "src/core/bst_sampler.h"
+#include "src/core/tree_io.h"
 #include "src/workload/set_generators.h"
 
 namespace bloomsample {
@@ -121,7 +129,7 @@ TEST(BloomSampleTreeTest, PrunedTreeOnlyCreatesOccupiedSubtrees) {
       BloomSampleTree::BuildPruned(SmallConfig(), occupied).value();
   EXPECT_TRUE(tree.pruned());
   EXPECT_LT(tree.node_count(), 10u);
-  EXPECT_EQ(tree.occupied().size(), 64u);
+  EXPECT_EQ(tree.occupied_count(), 64u);
 }
 
 TEST(BloomSampleTreeTest, PrunedNodesStoreOnlyOccupiedElements) {
@@ -169,7 +177,7 @@ TEST(BloomSampleTreeTest, DynamicInsertGrowsThePrunedTree) {
   // Insert an id in a far-away range: new nodes must appear.
   ASSERT_TRUE(tree.Insert(1000).ok());
   EXPECT_GT(tree.node_count(), before);
-  EXPECT_EQ(tree.occupied().size(), 2u);
+  EXPECT_EQ(tree.occupied_count(), 2u);
   // Both ids are now in the root filter and in cached counts.
   const auto& root = tree.node(tree.root());
   EXPECT_TRUE(root.filter.Contains(10));
@@ -182,7 +190,7 @@ TEST(BloomSampleTreeTest, DynamicInsertIsIdempotent) {
   const size_t nodes = tree.node_count();
   ASSERT_TRUE(tree.Insert(10).ok());
   EXPECT_EQ(tree.node_count(), nodes);
-  EXPECT_EQ(tree.occupied().size(), 1u);
+  EXPECT_EQ(tree.occupied_count(), 1u);
 }
 
 TEST(BloomSampleTreeTest, DynamicInsertMatchesBatchBuild) {
@@ -193,13 +201,145 @@ TEST(BloomSampleTreeTest, DynamicInsertMatchesBatchBuild) {
   for (uint64_t x : ids) ASSERT_TRUE(incremental.Insert(x).ok());
   const auto batch = BloomSampleTree::BuildPruned(SmallConfig(), ids).value();
 
-  EXPECT_EQ(incremental.occupied(), batch.occupied());
+  EXPECT_EQ(incremental.OccupiedIds(), batch.OccupiedIds());
   EXPECT_EQ(incremental.node_count(), batch.node_count());
   // Compare root filter CONTENTS: the two trees own distinct (but
   // identically seeded) hash family objects, so compare bit vectors, not
   // whole filters (filter equality includes family identity).
   EXPECT_EQ(incremental.node(incremental.root()).filter.bits(),
             batch.node(batch.root()).filter.bits());
+}
+
+/// Every reader of the occupancy layout — OccupiedIds, IsOccupied, each
+/// node's candidate count, each leaf's candidate walk, each node's filter
+/// — must agree with `model`, the occupied set.
+void ExpectTreeHolds(const BloomSampleTree& tree,
+                     const std::set<uint64_t>& model,
+                     const std::string& what) {
+  const std::vector<uint64_t> ids(model.begin(), model.end());
+  EXPECT_EQ(tree.OccupiedIds(), ids) << what;
+  EXPECT_EQ(tree.occupied_count(), ids.size()) << what;
+  EXPECT_EQ(tree.SubtreeCandidateCount(tree.root()), ids.size()) << what;
+  for (uint64_t x = 0; x < tree.config().namespace_size; ++x) {
+    ASSERT_EQ(tree.IsOccupied(x), model.count(x) == 1) << what << " x=" << x;
+  }
+  for (size_t id = 0; id < tree.node_count(); ++id) {
+    const auto& node = tree.node(static_cast<int64_t>(id));
+    const std::vector<uint64_t> in_range(model.lower_bound(node.lo),
+                                         model.lower_bound(node.hi));
+    EXPECT_EQ(tree.SubtreeCandidateCount(static_cast<int64_t>(id)),
+              in_range.size())
+        << what << " node " << id;
+    EXPECT_EQ(node.filter.bits(), tree.MakeQueryFilter(in_range).bits())
+        << what << " node " << id;
+    EXPECT_EQ(node.set_bits, node.filter.SetBitCount()) << what;
+    if (!tree.IsLeaf(static_cast<int64_t>(id))) continue;
+    std::vector<uint64_t> walked;
+    tree.ForEachLeafCandidate(static_cast<int64_t>(id),
+                              [&walked](uint64_t x) { walked.push_back(x); });
+    EXPECT_EQ(walked, in_range) << what << " leaf " << id;
+  }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(BloomSampleTreeTest, InsertListsFollowAnOccupancyModel) {
+  // Seeded INSERTs and REMOVEs against a std::set model: ids enter the
+  // leaves' insert lists, leave them or the base, and land in leaves the
+  // base never had (the base covers only the lower half).
+  const TreeConfig config = SmallConfig(4096, 4096, 5);
+  Rng rng(17);
+  std::vector<uint64_t> base;
+  for (uint64_t x : GenerateUniformSet(4096, 600, &rng).value()) {
+    if (x < 2048) base.push_back(x);
+  }
+  auto tree = BloomSampleTree::BuildPruned(config, base).value();
+  std::set<uint64_t> model(base.begin(), base.end());
+  ExpectTreeHolds(tree, model, "built");
+  for (int batch = 0; batch < 8; ++batch) {
+    for (int op = 0; op < 150; ++op) {
+      const uint64_t x = rng.Below(4096);
+      if (rng.Below(3) == 0) {
+        ASSERT_TRUE(tree.Remove(x).ok());
+        model.erase(x);
+      } else {
+        ASSERT_TRUE(tree.Insert(x).ok());
+        model.insert(x);
+      }
+    }
+    ExpectTreeHolds(tree, model, "batch " + std::to_string(batch));
+  }
+
+  // Saved and reloaded, heap and mmap: the same ids, draws and exact
+  // reconstruction as the live tree.
+  const std::string path = ::testing::TempDir() + "/insert_lists.bst";
+  std::remove(path.c_str());
+  ASSERT_TRUE(SaveTreeToFile(tree, path).ok());
+  std::vector<uint64_t> members;
+  for (uint64_t x : model) {
+    if (x % 5 == 0) members.push_back(x);
+  }
+  const BloomFilter live_query = tree.MakeQueryFilter(members);
+  const auto live_draws = BstSampler(&tree).SampleBatch(live_query, 64, 23);
+  const auto live_exact = BstReconstructor(&tree).Reconstruct(
+      live_query, nullptr, BstReconstructor::PruningMode::kExact);
+  for (LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+    LoadOptions options;
+    options.mode = mode;
+    auto loaded = LoadTreeFromFile(path, options);
+    if (!loaded.ok() && mode == LoadMode::kMmap) continue;  // no mmap here
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const BloomSampleTree& back = loaded.value();
+    const std::string what = "reload mode=" +
+                             std::to_string(static_cast<int>(mode));
+    ExpectTreeHolds(back, model, what);
+    const BloomFilter query = back.MakeQueryFilter(members);
+    EXPECT_EQ(BstSampler(&back).SampleBatch(query, 64, 23), live_draws)
+        << what;
+    EXPECT_EQ(BstReconstructor(&back).Reconstruct(
+                  query, nullptr, BstReconstructor::PruningMode::kExact),
+              live_exact)
+        << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BloomSampleTreeTest, InsertsIntoExistingLeavesSaveLikeAFreshBuild) {
+  // Every leaf exists in the base, so inserts only fill insert lists; the
+  // saved image — occupancy region included — must be byte-identical to
+  // BuildPruned over the final set.
+  const TreeConfig config = SmallConfig(4096, 4096, 5);
+  Rng rng(29);
+  const auto all = GenerateUniformSet(4096, 900, &rng).value();
+  std::vector<uint64_t> base;
+  std::vector<uint64_t> inserted;
+  for (size_t i = 0; i < all.size(); ++i) {
+    (i % 3 == 2 ? inserted : base).push_back(all[i]);
+  }
+  auto tree = BloomSampleTree::BuildPruned(config, base).value();
+  const size_t nodes = tree.node_count();
+  for (uint64_t x : inserted) ASSERT_TRUE(tree.Insert(x).ok());
+  ASSERT_EQ(tree.node_count(), nodes);
+  const auto fresh = BloomSampleTree::BuildPruned(config, all).value();
+
+  const std::string dir = ::testing::TempDir();
+  for (uint32_t version : {1u, 2u}) {
+    SaveOptions options;
+    options.version = version;
+    const std::string a = dir + "/lists_" + std::to_string(version) + ".bst";
+    const std::string b = dir + "/fresh_" + std::to_string(version) + ".bst";
+    ASSERT_TRUE(SaveTreeToFile(tree, a, options).ok());
+    ASSERT_TRUE(SaveTreeToFile(fresh, b, options).ok());
+    const std::string bytes = ReadFileBytes(a);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes, ReadFileBytes(b)) << "version " << version;
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+  }
 }
 
 TEST(BloomSampleTreeTest, InsertValidation) {

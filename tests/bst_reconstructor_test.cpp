@@ -174,10 +174,10 @@ std::vector<uint64_t> OccupiedDictionaryAttack(const BloomSampleTree& tree,
                                                const BloomFilter& query) {
   const std::vector<uint64_t> attack =
       DictionaryAttack(tree.config().namespace_size).Reconstruct(query);
+  const std::vector<uint64_t> occupied = tree.OccupiedIds();
   std::vector<uint64_t> out;
-  std::set_intersection(attack.begin(), attack.end(),
-                        tree.occupied().begin(), tree.occupied().end(),
-                        std::back_inserter(out));
+  std::set_intersection(attack.begin(), attack.end(), occupied.begin(),
+                        occupied.end(), std::back_inserter(out));
   return out;
 }
 
@@ -215,8 +215,7 @@ void ExpectIndexAnswerExact(BloomSampleTree* tree, const BloomFilter& query,
   }
   for (uint64_t x : exact) {
     EXPECT_TRUE(query.Contains(x)) << what << ": " << x;
-    EXPECT_TRUE(std::binary_search(tree->occupied().begin(),
-                                   tree->occupied().end(), x))
+    EXPECT_TRUE(tree->IsOccupied(x))
         << what << ": " << x;
   }
 
@@ -287,7 +286,6 @@ TEST(BstReconstructorTest, ExactIndexFollowsInsertAndRemove) {
   const auto occupied = GenerateUniformSet(M, 1600, &rng).value();
   auto tree =
       BloomSampleTree::BuildPruned(Config(M, 25000, 6), occupied).value();
-  ASSERT_TRUE(tree.EnableCountingLeaves().ok());
   const BstReconstructor reconstructor(&tree);
 
   // The query holds 200 occupied ids and 200 ids the test inserts later.
@@ -306,8 +304,7 @@ TEST(BstReconstructorTest, ExactIndexFollowsInsertAndRemove) {
   const auto check = [&](const std::string& what) {
     std::vector<uint64_t> expected_present;
     for (uint64_t x : members) {
-      if (std::binary_search(tree.occupied().begin(), tree.occupied().end(),
-                             x)) {
+      if (tree.IsOccupied(x)) {
         expected_present.push_back(x);
       }
     }
@@ -338,8 +335,7 @@ TEST(BstReconstructorTest, ExactIndexFollowsInsertAndRemove) {
   (void)reconstructor.Reconstruct(pooled, nullptr,
                                   BstReconstructor::PruningMode::kExact);
   ASSERT_TRUE(tree.Insert(fresh[30]).ok());
-  EXPECT_TRUE(std::binary_search(
-      tree.occupied().begin(), tree.occupied().end(), fresh[30]));
+  EXPECT_TRUE(tree.IsOccupied(fresh[30]));
   const auto after_one = reconstructor.Reconstruct(
       pooled, &incremental, BstReconstructor::PruningMode::kExact);
   EXPECT_EQ(incremental.membership_queries, 1u);

@@ -101,7 +101,7 @@ std::vector<uint64_t> SortedUnion(std::vector<uint64_t> base,
 }
 
 void ExpectTreesIdentical(const BloomSampleTree& a, const BloomSampleTree& b) {
-  EXPECT_EQ(a.occupied(), b.occupied());
+  EXPECT_EQ(a.OccupiedIds(), b.OccupiedIds());
   ASSERT_EQ(a.node_count(), b.node_count());
   for (size_t id = 0; id < a.node_count(); ++id) {
     const auto& na = a.node(static_cast<int64_t>(id));
@@ -191,7 +191,7 @@ TEST(CrashMatrixTest, IngestDiesAtEveryKillPoint) {
     auto recovered = LoadTreeFromFile(path, heap, &info);
     ASSERT_TRUE(recovered.ok())
         << "kill=" << kill << ": " << recovered.status().ToString();
-    EXPECT_EQ(recovered.value().occupied(), expected) << "kill=" << kill;
+    EXPECT_EQ(recovered.value().OccupiedIds(), expected) << "kill=" << kill;
     EXPECT_EQ(info.wal_records_replayed, acked.size()) << "kill=" << kill;
 
     // The two load modes must agree bit for bit on the recovered tree.
@@ -257,7 +257,7 @@ TEST(CrashMatrixTest, FailedSaveLeavesOldSnapshotByteIdentical) {
       auto loaded = LoadTreeFromFile(path);
       ASSERT_TRUE(loaded.ok()) << "fail=" << fail << " enospc=" << enospc
                                << ": " << loaded.status().ToString();
-      const size_t got = loaded.value().occupied().size();
+      const size_t got = loaded.value().occupied_count();
       EXPECT_TRUE(got == BaseOccupied().size() ||
                   got == BaseOccupied().size() + ExtraIds().size())
           << "fail=" << fail;
@@ -341,7 +341,8 @@ TEST(CrashMatrixTest, ForestCompactionDiesAtEveryKillPoint) {
         << "kill=" << kill << ": " << recovered.status().ToString();
     std::vector<uint64_t> occupied;
     for (uint32_t s = 0; s < recovered.value().shard_count(); ++s) {
-      const auto& shard_occ = recovered.value().shard(s).occupied();
+      const std::vector<uint64_t> shard_occ =
+          recovered.value().shard(s).OccupiedIds();
       occupied.insert(occupied.end(), shard_occ.begin(), shard_occ.end());
     }
     std::sort(occupied.begin(), occupied.end());
@@ -460,7 +461,7 @@ TEST(CrashMatrixTest, ConcurrentIngestDiesAtEveryKillPoint) {
       ASSERT_TRUE(recovered.ok())
           << "policy=" << WalSyncPolicyName(policy) << " kill=" << kill
           << ": " << recovered.status().ToString();
-      const std::vector<uint64_t>& occupied = recovered.value().occupied();
+      const std::vector<uint64_t> occupied = recovered.value().OccupiedIds();
 
       if (policy == WalSyncPolicy::kEveryRecord) {
         // Exactness: acknowledged ⟺ durable, nothing else.
@@ -602,7 +603,7 @@ TEST(CrashMatrixTest, PipelineCompactionDiesAtEveryKillPoint) {
       auto recovered = LoadTreeFromFile(path, heap);
       ASSERT_TRUE(recovered.ok())
           << "kill=" << kill << ": " << recovered.status().ToString();
-      EXPECT_EQ(recovered.value().occupied(), expected) << "kill=" << kill;
+      EXPECT_EQ(recovered.value().OccupiedIds(), expected) << "kill=" << kill;
 
       LoadOptions mmap;
       mmap.mode = LoadMode::kMmap;

@@ -92,10 +92,10 @@ TEST(ForestTest, ShardPartitionTilesTheNamespace) {
   }
   uint64_t total_occupied = 0;
   for (uint32_t s = 0; s < f.shard_count(); ++s) {
-    for (uint64_t x : f.shard(s).occupied()) {
+    for (uint64_t x : f.shard(s).OccupiedIds()) {
       EXPECT_EQ(f.ShardOf(x), s);
     }
-    total_occupied += f.shard(s).occupied().size();
+    total_occupied += f.shard(s).occupied_count();
   }
   EXPECT_EQ(total_occupied, Occupied().size());
   EXPECT_EQ(f.occupied_count(), Occupied().size());
@@ -109,7 +109,7 @@ TEST(ForestTest, SingleShardIsTheBarePrunedTree) {
   ASSERT_TRUE(bare.ok());
   const BloomSampleTree& shard = forest.value().shard(0);
   ASSERT_EQ(shard.node_count(), bare.value().node_count());
-  EXPECT_EQ(shard.occupied(), bare.value().occupied());
+  EXPECT_EQ(shard.OccupiedIds(), bare.value().OccupiedIds());
   for (size_t id = 0; id < shard.node_count(); ++id) {
     const auto& a = shard.node(static_cast<int64_t>(id));
     const auto& b = bare.value().node(static_cast<int64_t>(id));
@@ -192,7 +192,7 @@ TEST(ForestTest, BatchDrawsEqualSerialDraws) {
   for (const auto& draw : batch) {
     if (!draw.has_value()) continue;
     const uint32_t s = forest.value().ShardOf(*draw);
-    const auto& occ = forest.value().shard(s).occupied();
+    const std::vector<uint64_t> occ = forest.value().shard(s).OccupiedIds();
     EXPECT_TRUE(std::binary_search(occ.begin(), occ.end(), *draw));
   }
 }
@@ -290,8 +290,8 @@ TEST(ForestTest, SnapshotRoundTripsAndRejectsCorruption) {
   EXPECT_EQ(loaded.value().node_count(), built.value().node_count());
   EXPECT_EQ(loaded.value().occupied_count(), built.value().occupied_count());
   for (uint32_t s = 0; s < fc.shards; ++s) {
-    EXPECT_EQ(loaded.value().shard(s).occupied(),
-              built.value().shard(s).occupied());
+    EXPECT_EQ(loaded.value().shard(s).OccupiedIds(),
+              built.value().shard(s).OccupiedIds());
   }
 
   // Manifest corruption: flip one config byte — the trailing digest
@@ -344,7 +344,7 @@ TEST(ForestTest, EmptyQueryAndMissShardsDrawNull) {
   for (const auto& draw : miss_batch) {
     if (draw.has_value()) {
       const uint32_t s = forest.value().ShardOf(*draw);
-      const auto& occ = forest.value().shard(s).occupied();
+      const std::vector<uint64_t> occ = forest.value().shard(s).OccupiedIds();
       EXPECT_TRUE(std::binary_search(occ.begin(), occ.end(), *draw));
     }
   }

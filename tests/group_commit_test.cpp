@@ -105,7 +105,7 @@ TEST(GroupCommitTest, ConcurrentCommittersAllAckedUnionOnDisk) {
     threads.emplace_back([&gc, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
         ASSERT_TRUE(
-            gc->CommitOne(WalOp::kInsert, t * kPerThread + i).ok());
+            gc->Commit({{WalOp::kInsert, t * kPerThread + i}}).ok());
       }
     });
   }
@@ -127,13 +127,13 @@ TEST(GroupCommitTest, TransientFsyncFailureIsRepairedWithoutLoss) {
   auto gc =
       OpenCommitWal(path, &fs, WalSyncPolicy::kEveryRecord, gc_options);
 
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 1).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 1}}).ok());
   // The NEXT file fsync fails once (EIO); repair must truncate+reopen+
   // re-append — the commit still acks and nothing is lost.
   fs.FailSyncsAt(fs.sync_count() + 1, 1);
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 2).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 2}}).ok());
   EXPECT_FALSE(gc->read_only());
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 3).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 3}}).ok());
 
   fs.SimulateCrash();
   fs.ClearFaults();
@@ -149,17 +149,17 @@ TEST(GroupCommitTest, PersistentFsyncFailureLatchesReadOnly) {
   auto gc =
       OpenCommitWal(path, &fs, WalSyncPolicy::kEveryRecord, gc_options);
 
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 10).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 10}}).ok());
   fs.FailSyncsAt(fs.sync_count() + 1, FaultInjectingFileSystem::kForever);
 
-  const Status failed = gc->CommitOne(WalOp::kInsert, 20);
+  const Status failed = gc->Commit({{WalOp::kInsert, 20}});
   EXPECT_EQ(failed.code(), Status::Code::kReadOnly) << failed.ToString();
   EXPECT_TRUE(gc->read_only());
   EXPECT_EQ(gc->read_only_status().code(), Status::Code::kReadOnly);
 
   // Sticky: later commits fail fast without touching the file.
   const uint64_t ops_before = fs.op_count();
-  EXPECT_EQ(gc->CommitOne(WalOp::kInsert, 30).code(),
+  EXPECT_EQ(gc->Commit({{WalOp::kInsert, 30}}).code(),
             Status::Code::kReadOnly);
   EXPECT_EQ(fs.op_count(), ops_before);
 
@@ -175,9 +175,9 @@ TEST(GroupCommitTest, FenceForcesDurabilityUnderNoSyncPolicy) {
   const std::string path = TempPath("gc_fence.wal");
   auto gc = OpenCommitWal(path, &fs, WalSyncPolicy::kNone);
 
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 7).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 7}}).ok());
   ASSERT_TRUE(gc->Fence().ok());
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 8).ok());  // unfenced tail
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 8}}).ok());  // unfenced tail
 
   fs.SimulateCrash();
   fs.ClearFaults();
@@ -193,10 +193,10 @@ TEST(GroupCommitTest, RotateFreezesOldEpochAndRestartsSequences) {
   const std::string old_path = path + ".old";
   auto gc = OpenCommitWal(path, &fs, WalSyncPolicy::kEveryRecord);
 
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 100).ok());
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 101).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 100}}).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 101}}).ok());
   ASSERT_TRUE(gc->Rotate(old_path).ok());
-  ASSERT_TRUE(gc->CommitOne(WalOp::kInsert, 200).ok());
+  ASSERT_TRUE(gc->Commit({{WalOp::kInsert, 200}}).ok());
 
   // Both epochs replay independently, each with its own dense sequence
   // space starting at 1.
@@ -232,7 +232,7 @@ TEST(GroupCommitTest, RotateConcurrentWithCommitters) {
     threads.emplace_back([&gc, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
         ASSERT_TRUE(
-            gc->CommitOne(WalOp::kInsert, t * kPerThread + i).ok());
+            gc->Commit({{WalOp::kInsert, t * kPerThread + i}}).ok());
       }
     });
   }

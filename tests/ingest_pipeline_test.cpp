@@ -13,8 +13,8 @@
 //   * a persistent fsync failure latches the pipeline read-only: writes
 //     fail with kReadOnly, reads keep serving, and recovery replays
 //     exactly the acked set;
-//   * Remove flows end-to-end (counting-bloom leaves, WAL kRemove,
-//     replay) and is refused without the counting backend;
+//   * Remove flows end-to-end (leaf rebuild, WAL kRemove, replay) on a
+//     freshly opened tree;
 //   * background compaction folds log into image while readers and
 //     writers stay live: reader guards block the swap (never dangle),
 //     retired trees stay valid through outstanding handles, a commit
@@ -107,10 +107,11 @@ std::shared_ptr<BloomSampleTree> FreshBase(const std::string& path,
 /// Draw-for-draw sampling equality: same query, same seeds, same draws.
 void ExpectSamplesIdentical(const BloomSampleTree& a,
                             const BloomSampleTree& b) {
-  ASSERT_EQ(a.occupied(), b.occupied());
-  std::vector<uint64_t> members(a.occupied().begin(),
-                                a.occupied().begin() +
-                                    std::min<size_t>(a.occupied().size(), 40));
+  const std::vector<uint64_t> occupied = a.OccupiedIds();
+  ASSERT_EQ(occupied, b.OccupiedIds());
+  std::vector<uint64_t> members(
+      occupied.begin(),
+      occupied.begin() + std::min<size_t>(occupied.size(), 40));
   const BloomFilter qa = a.MakeQueryFilter(members);
   const BloomFilter qb = b.MakeQueryFilter(members);
   BstSampler sa(&a);
@@ -156,9 +157,9 @@ TEST(IngestPipelineTest, ConcurrentSyncWritersRecoverExactly) {
     }
     {
       auto guard = pipe.AcquireRead();
-      ASSERT_EQ(guard.tree().occupied().size(), expected.size());
+      ASSERT_EQ(guard.tree().occupied_count(), expected.size());
       EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                             guard.tree().occupied().begin()));
+                             guard.tree().OccupiedIds().begin()));
     }
     const IngestPipelineStats stats = pipe.Stats();
     EXPECT_EQ(stats.committed_batches, kWriters * kPerWriter);
@@ -220,7 +221,7 @@ TEST(IngestPipelineTest, ReadersOverlappingWritersSeeOnlyAckedPrefixes) {
           std::vector<uint64_t> observed;
           {
             auto guard = pipe.AcquireRead();
-            observed = guard.tree().occupied();
+            observed = guard.tree().OccupiedIds();
           }
           // Never torn: strictly sorted; never anything but base ∪ a
           // subset of the acked writer ids.
@@ -238,7 +239,7 @@ TEST(IngestPipelineTest, ReadersOverlappingWritersSeeOnlyAckedPrefixes) {
           if (deep_checks.fetch_add(1) % 16 == 0) {
             auto guard = pipe.AcquireRead();
             auto reference = BloomSampleTree::BuildPruned(
-                GoldenConfig(), guard.tree().occupied());
+                GoldenConfig(), guard.tree().OccupiedIds());
             ASSERT_TRUE(reference.ok());
             ExpectSamplesIdentical(guard.tree(), reference.value());
           }
@@ -284,13 +285,13 @@ TEST(IngestPipelineTest, QueuePathAcksAndRecovers) {
   }
   {
     auto guard = pipe.AcquireRead();
-    EXPECT_EQ(guard.tree().occupied().size(), expected.size());
+    EXPECT_EQ(guard.tree().occupied_count(), expected.size());
   }
   ASSERT_TRUE(pipe.Close().ok());
   auto recovered = LoadTreeFromFile(path);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                         recovered.value().occupied().begin()));
+                         recovered.value().OccupiedIds().begin()));
 }
 
 TEST(IngestPipelineTest, InvalidMutationsRefusedBeforeLogging) {
@@ -300,13 +301,12 @@ TEST(IngestPipelineTest, InvalidMutationsRefusedBeforeLogging) {
   ASSERT_TRUE(pipeline.ok());
   IngestPipeline& pipe = *pipeline.value();
 
-  // Out of range, sync path.
+  // Out of range, sync path: an insert and a remove.
   EXPECT_EQ(pipe.Insert(4096).code(), Status::Code::kOutOfRange);
-  // Remove without the counting backend — sync and queue paths.
-  EXPECT_EQ(pipe.Remove(5).code(), Status::Code::kUnsupported);
+  EXPECT_EQ(pipe.Remove(4096).code(), Status::Code::kOutOfRange);
   WalMutation bad;
   bad.op = WalOp::kRemove;
-  bad.id = 5;
+  bad.id = 4097;
   // Both refusals pushed fire-and-forget: Push reports backpressure only,
   // so the Flush that fences them must report the first refusal — and
   // only once: the next Flush covers nothing that failed.
@@ -316,7 +316,7 @@ TEST(IngestPipelineTest, InvalidMutationsRefusedBeforeLogging) {
   EXPECT_TRUE(pipe.Push(bad).ok());
   EXPECT_EQ(pipe.Flush().code(), Status::Code::kOutOfRange);
   EXPECT_TRUE(pipe.Flush().ok());
-  EXPECT_EQ(pipe.PushWithAck(bad).get().code(), Status::Code::kUnsupported);
+  EXPECT_EQ(pipe.PushWithAck(bad).get().code(), Status::Code::kOutOfRange);
   ASSERT_TRUE(pipe.Insert(6).ok());
   ASSERT_TRUE(pipe.Close().ok());
 
@@ -357,7 +357,7 @@ TEST(IngestPipelineTest, PersistentFsyncFailureLatchesWritesReadsServe) {
   // Degraded, not down: reads keep serving the acked state.
   {
     auto guard = pipe.AcquireRead();
-    const auto& occupied = guard.tree().occupied();
+    const std::vector<uint64_t> occupied = guard.tree().OccupiedIds();
     EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), 6u));
     EXPECT_FALSE(std::binary_search(occupied.begin(), occupied.end(), 7u));
   }
@@ -370,7 +370,7 @@ TEST(IngestPipelineTest, PersistentFsyncFailureLatchesWritesReadsServe) {
   load.fs = &fs;
   auto recovered = LoadTreeFromFile(path, load);
   ASSERT_TRUE(recovered.ok());
-  const auto& occupied = recovered.value().occupied();
+  const std::vector<uint64_t> occupied = recovered.value().OccupiedIds();
   EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), 6u));
   EXPECT_FALSE(std::binary_search(occupied.begin(), occupied.end(), 7u));
   EXPECT_FALSE(std::binary_search(occupied.begin(), occupied.end(), 8u));
@@ -382,7 +382,6 @@ TEST(IngestPipelineTest, RemoveFlowsEndToEndThroughReplay) {
       IngestPipeline::OpenTree(FreshBase(path), path, DefaultOptions());
   ASSERT_TRUE(pipeline.ok());
   IngestPipeline& pipe = *pipeline.value();
-  ASSERT_TRUE(pipe.EnableCountingLeaves().ok());
 
   ASSERT_TRUE(pipe.Insert(6).ok());
   ASSERT_TRUE(pipe.Insert(7).ok());
@@ -400,13 +399,13 @@ TEST(IngestPipelineTest, RemoveFlowsEndToEndThroughReplay) {
   {
     auto guard = pipe.AcquireRead();
     EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                           guard.tree().occupied().begin()));
-    EXPECT_EQ(guard.tree().occupied().size(), expected.size());
+                           guard.tree().OccupiedIds().begin()));
+    EXPECT_EQ(guard.tree().occupied_count(), expected.size());
   }
   ASSERT_TRUE(pipe.Close().ok());
 
-  // Replay applies the removes too (auto-enabling counting leaves) and
-  // lands draw-for-draw on the serial rebuild of the final set.
+  // Replay applies the removes too and lands draw-for-draw on the serial
+  // rebuild of the final set.
   auto recovered = LoadTreeFromFile(path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   auto reference = BloomSampleTree::BuildPruned(
@@ -439,8 +438,8 @@ TEST(IngestPipelineTest, BackgroundCompactionUnderLiveTraffic) {
   std::thread reader([&] {
     while (!done.load()) {
       auto guard = pipe.AcquireRead();
-      ASSERT_TRUE(std::is_sorted(guard.tree().occupied().begin(),
-                                 guard.tree().occupied().end()));
+      const std::vector<uint64_t> occupied = guard.tree().OccupiedIds();
+      ASSERT_TRUE(std::is_sorted(occupied.begin(), occupied.end()));
     }
   });
   // Stats() polls fsync_count while commit leaders are mid-sync — the
@@ -466,19 +465,19 @@ TEST(IngestPipelineTest, BackgroundCompactionUnderLiveTraffic) {
   // handle still reads coherently.
   EXPECT_FALSE(FileSystem::Default()->FileExists(OldWalPathFor(path)));
   EXPECT_NE(pipe.tree_handle().get(), before.get());
-  EXPECT_TRUE(std::is_sorted(before->occupied().begin(),
-                             before->occupied().end()));
+  const std::vector<uint64_t> before_ids = before->OccupiedIds();
+  EXPECT_TRUE(std::is_sorted(before_ids.begin(), before_ids.end()));
 
   std::vector<uint64_t> live;
   {
     auto guard = pipe.AcquireRead();
-    live = guard.tree().occupied();
+    live = guard.tree().OccupiedIds();
   }
   ASSERT_TRUE(pipe.Close().ok());
   // On-disk = compacted image + post-rotation log ≡ the live end state.
   auto recovered = LoadTreeFromFile(path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered.value().occupied(), live);
+  EXPECT_EQ(recovered.value().OccupiedIds(), live);
 }
 
 TEST(IngestPipelineTest, ReadGuardBlocksCompactionSwap) {
@@ -505,8 +504,7 @@ TEST(IngestPipelineTest, ReadGuardBlocksCompactionSwap) {
     EXPECT_FALSE(swapped.load());
     // The guarded tree is still the pre-swap one and still readable.
     EXPECT_EQ(held, &guard.tree());
-    EXPECT_TRUE(std::binary_search(held->occupied().begin(),
-                                   held->occupied().end(), 6u));
+    EXPECT_TRUE(held->IsOccupied(6u));
   }
   compactor.join();
   EXPECT_TRUE(swapped.load());
@@ -551,8 +549,7 @@ TEST(IngestPipelineTest, CompactionDrainsCommittedButUnappliedWrites) {
   // image (or the fresh log) — never only in the deleted .wal.old.
   auto recovered = LoadTreeFromFile(path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(std::binary_search(recovered.value().occupied().begin(),
-                                 recovered.value().occupied().end(), 7u));
+  EXPECT_TRUE(recovered.value().IsOccupied(7u));
 }
 
 // A second TriggerCompaction while one is in flight must say so
@@ -634,7 +631,7 @@ TEST(IngestPipelineTest, ForestLanesRouteAndRecoverShardForShard) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   std::vector<uint64_t> all;
   for (uint32_t s = 0; s < recovered.value().shard_count(); ++s) {
-    const auto& occ = recovered.value().shard(s).occupied();
+    const std::vector<uint64_t> occ = recovered.value().shard(s).OccupiedIds();
     all.insert(all.end(), occ.begin(), occ.end());
   }
   std::sort(all.begin(), all.end());

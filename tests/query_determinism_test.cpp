@@ -20,9 +20,10 @@
 //   * The warm pass bsrd serves (a pruned M = 1e6 tree at the paper's
 //     configuration): SampleBatch and SampleBatchPrepared draw the same on
 //     a fresh context and on one warmed by earlier batches, with draws and
-//     op totals identical across query threads, SIMD tiers and load
-//     modes; and a threshold change on a warm context takes effect — the
-//     memo holds the raw estimate, never a thresholded weight.
+//     op totals identical across query threads, SIMD tiers, load modes and
+//     occupancy layouts (some ids in their leaves' insert lists instead of
+//     the base); and a threshold change on a warm context takes effect —
+//     the memo holds the raw estimate, never a thresholded weight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -546,13 +547,25 @@ TEST(QueryDeterminismTest, WarmPassMatchesFreshAcrossThreadsTiersAndLoads) {
   // pass, which every other tier and load mode must repeat exactly.
   std::optional<WarmPass> reference[2][2];
   const simd::Level original = simd::ActiveLevel();
-  for (LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+  // Heap and mmap loads, then both again with ids in insert lists.
+  for (int load = 0; load < 4; ++load) {
+    const LoadMode mode = load % 2 == 0 ? LoadMode::kHeap : LoadMode::kMmap;
+    const bool lists = load >= 2;
     LoadOptions options;
     options.mode = mode;
     auto loaded = LoadTreeFromFile(path, options);
     if (!loaded.ok() && mode == LoadMode::kMmap) continue;  // no mmap here
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     BloomSampleTree& tree = loaded.value();
+    if (lists) {
+      // Removing and re-inserting the query's members moves them from the
+      // base to their leaves' insert lists, so the leaves a draw lands in
+      // merge the two; the set, and so every filter, stays put.
+      for (uint64_t x : members) {
+        ASSERT_TRUE(tree.Remove(x).ok());
+        ASSERT_TRUE(tree.Insert(x).ok());
+      }
+    }
     const BloomFilter query = tree.MakeQueryFilter(members);
     tree.set_min_parallel_work(0);  // 4 threads really run 4 lanes
     for (simd::Level level :
@@ -564,7 +577,7 @@ TEST(QueryDeterminismTest, WarmPassMatchesFreshAcrossThreadsTiersAndLoads) {
         for (const int warm : {0, 1}) {
           const std::string what =
               "mode=" + std::to_string(static_cast<int>(mode)) +
-              " tier=" + simd::LevelName(level) +
+              (lists ? " lists" : "") + " tier=" + simd::LevelName(level) +
               " threads=" + std::to_string(kThreads[t]) +
               (warm ? " warm" : " fresh");
           const WarmPass pass = RunPass(tree, query, warm == 1, kSeed);

@@ -143,7 +143,7 @@ TEST(LaneRecoveryTest, TransientEnospcLatchAutoRecoversAndCommitsDurably) {
   load.fs = &fs;
   auto recovered = LoadTreeFromFile(path, load);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  const auto& occupied = recovered.value().occupied();
+  const std::vector<uint64_t> occupied = recovered.value().OccupiedIds();
   EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), 6u));
   EXPECT_FALSE(std::binary_search(occupied.begin(), occupied.end(), 7u));
   EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), 8u));
@@ -263,7 +263,7 @@ TEST(LaneRecoveryTest, QuarantineFailsMutationsAndRefusesNextOpen) {
   // Reads keep serving the acked state (degraded, not down).
   {
     auto guard = pipe.AcquireRead();
-    const auto& occupied = guard.tree().occupied();
+    const std::vector<uint64_t> occupied = guard.tree().OccupiedIds();
     EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), 6u));
   }
   pipe.Close();
@@ -278,7 +278,7 @@ TEST(LaneRecoveryTest, QuarantineFailsMutationsAndRefusesNextOpen) {
   ASSERT_TRUE(ClearQuarantineMarker(path).ok());
   auto reopened = LoadTreeFromFile(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const auto& occupied = reopened.value().occupied();
+  const std::vector<uint64_t> occupied = reopened.value().OccupiedIds();
   EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), 6u));
 }
 

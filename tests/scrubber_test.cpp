@@ -105,10 +105,11 @@ void CorruptSlabChunk(const std::string& path, uint64_t chunk) {
 /// Draw-for-draw sampling equality on a shared member query.
 void ExpectSamplesIdentical(const BloomSampleTree& a,
                             const BloomSampleTree& b) {
-  ASSERT_EQ(a.occupied(), b.occupied());
-  std::vector<uint64_t> members(a.occupied().begin(),
-                                a.occupied().begin() +
-                                    std::min<size_t>(a.occupied().size(), 40));
+  const std::vector<uint64_t> occupied = a.OccupiedIds();
+  ASSERT_EQ(occupied, b.OccupiedIds());
+  std::vector<uint64_t> members(
+      occupied.begin(),
+      occupied.begin() + std::min<size_t>(occupied.size(), 40));
   const BloomFilter qa = a.MakeQueryFilter(members);
   const BloomFilter qb = b.MakeQueryFilter(members);
   BstSampler sa(&a);
@@ -376,7 +377,7 @@ TEST(ScrubberTest, StaleFrozenLogIsFoldedNotQuarantined) {
   std::sort(expected.begin(), expected.end());
   auto reloaded = LoadTreeFromFile(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded.value().occupied(), expected);
+  EXPECT_EQ(reloaded.value().OccupiedIds(), expected);
 }
 
 TEST(ScrubberTest, BackgroundThreadHealsWithoutManualPasses) {
@@ -453,7 +454,7 @@ TEST(ScrubberTest, ForestLaneQuarantinesAndSiblingsKeepServing) {
   EXPECT_TRUE(pipe.Insert(shard1_id).ok());
   {
     auto guard = pipe.AcquireRead(1);
-    const auto& occupied = guard.tree().occupied();
+    const std::vector<uint64_t> occupied = guard.tree().OccupiedIds();
     EXPECT_TRUE(
         std::binary_search(occupied.begin(), occupied.end(), shard1_id));
   }

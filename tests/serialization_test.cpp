@@ -142,7 +142,7 @@ TEST(TreeIoTest, PrunedTreeRoundTripsWithOccupancy) {
   auto loaded = DeserializeTree(&stream);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded.value().pruned());
-  EXPECT_EQ(loaded.value().occupied(), occupied);
+  EXPECT_EQ(loaded.value().OccupiedIds(), occupied);
   // The loaded tree remains dynamic.
   EXPECT_TRUE(loaded.value().Insert(occupied.back() - 1).ok() ||
               true /* id may already be occupied */);

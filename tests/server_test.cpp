@@ -7,7 +7,11 @@
 //   * RECONSTRUCT equals the local reconstructor; INSERT is durable and
 //     immediately visible to subsequent queries — including an exact
 //     RECONSTRUCT on the pooled context of a filter seen before the write
-//     (and a REMOVE on counting leaves drops the id there);
+//     (and a REMOVE on a freshly loaded tree drops the id there);
+//   * an INSERT frame commits in max_batch chunks, one fsync each, and a
+//     frame stops at its first refused id;
+//   * STATS counts a SAMPLE before its answer leaves, so SAMPLE then STATS
+//     on one connection always sees it;
 //   * concurrent exact RECONSTRUCTs, racing the index build and INSERTs,
 //     each see every INSERT acknowledged before they were sent;
 //   * an INSERT that creates tree nodes retires the pooled contexts, whose
@@ -62,7 +66,7 @@ std::vector<uint64_t> BruteForceExact(const BloomSampleTree& tree,
   BloomFilter query(tree.family_ptr());
   query.InsertBatch(ids);
   std::vector<uint64_t> out;
-  for (uint64_t x : tree.occupied()) {
+  for (uint64_t x : tree.OccupiedIds()) {
     if (query.Contains(x)) out.push_back(x);
   }
   return out;
@@ -175,7 +179,7 @@ TEST(ServerTest, ReconstructMatchesLocalAndInsertIsVisible) {
   // durable in the pipeline and visible to an immediate reconstruct.
   const std::vector<uint64_t> fresh = {6, 33, 60};
   ASSERT_TRUE(client.value()->Insert(fresh).ok());
-  const auto occupied = h.pipeline->tree_handle()->occupied();
+  const auto occupied = h.pipeline->tree_handle()->OccupiedIds();
   for (uint64_t id : fresh) {
     EXPECT_TRUE(std::binary_search(occupied.begin(), occupied.end(), id));
   }
@@ -215,8 +219,8 @@ TEST(ServerTest, ExactReconstructReadsItsWritesOnAPooledContext) {
 
 TEST(ServerTest, ExactReconstructDropsARemovedIdOnAPooledContext) {
   ServerHarness h;
+  // As bsrd serves every tree: freshly loaded, no delete backend.
   h.Start("rywrm");
-  ASSERT_TRUE(h.pipeline->EnableCountingLeaves().ok());
   const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree,
                                                            QueryIds());
   auto client = QuickClient(h.server->address());
@@ -234,6 +238,87 @@ TEST(ServerTest, ExactReconstructDropsARemovedIdOnAPooledContext) {
                                   5));
   EXPECT_EQ(after.value(),
             BruteForceExact(*h.pipeline->tree_handle(), QueryIds()));
+}
+
+TEST(ServerTest, StatsCountsEverySampleAnsweredBeforeIt) {
+  // One connection alternates SAMPLE and STATS: a client holding an
+  // answer must always see it counted, so every STATS reads the SAMPLEs
+  // and the responses answered before it.
+  ServerHarness h;
+  h.Start("samplestats");
+  const std::vector<uint8_t> filter_bytes = FilterBytesFor(*h.tree,
+                                                           QueryIds());
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+  for (int64_t i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(client.value()->Sample(filter_bytes, 1, i).ok());
+    auto text = client.value()->Stats();
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    ASSERT_EQ(StatValue(text.value(), "server.sample_requests"), i)
+        << "after SAMPLE " << i;
+    ASSERT_EQ(StatValue(text.value(), "server.responses_out"), 2 * i - 1)
+        << "after SAMPLE " << i;
+  }
+}
+
+/// `count` ids of the golden namespace that BaseOccupied (5 mod 27) lacks.
+std::vector<uint64_t> FreshIds(size_t count) {
+  std::vector<uint64_t> ids;
+  for (uint64_t x = 0; ids.size() < count; ++x) {
+    if (x % 27 != 5) ids.push_back(x);
+  }
+  return ids;
+}
+
+TEST(ServerTest, InsertFrameCommitsInMaxBatchChunks) {
+  ServerHarness h;
+  h.Start("frame");
+  auto client = QuickClient(h.server->address());
+  ASSERT_TRUE(client.ok());
+  const auto fsyncs = [&] {
+    auto text = client.value()->Stats();
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    return text.ok() ? StatValue(text.value(), "pipeline.fsyncs") : -1;
+  };
+  const uint64_t before = h.pipeline->tree_handle()->occupied_count();
+  const int64_t fsyncs_before = fsyncs();
+
+  const std::vector<uint64_t> ids = FreshIds(1000);
+  ASSERT_TRUE(client.value()->Insert(ids).ok());
+  const size_t max_batch = IngestPipelineOptions().max_batch;
+  EXPECT_LE(fsyncs() - fsyncs_before,
+            static_cast<int64_t>((ids.size() + max_batch - 1) / max_batch));
+  const auto tree = h.pipeline->tree_handle();
+  EXPECT_EQ(tree->occupied_count(), before + ids.size());
+  for (uint64_t x : ids) EXPECT_TRUE(tree->IsOccupied(x)) << x;
+}
+
+TEST(ServerTest, MutationFrameStopsAtItsFirstRefusedId) {
+  ServerHarness h;
+  h.Start("framebad");
+  auto client = QuickClient(h.server->address(), /*max_retries=*/0);
+  ASSERT_TRUE(client.ok());
+  const uint64_t before = h.pipeline->tree_handle()->occupied_count();
+
+  std::vector<uint64_t> ids = FreshIds(1000);
+  ids[500] = GoldenConfig().namespace_size;  // out of range
+  const Status st = client.value()->Insert(ids);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("applied 500/1000"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(h.pipeline->tree_handle()->occupied_count(), before + 500);
+
+  // Exactly the accepted prefix is logged, in frame order.
+  std::vector<uint64_t> logged;
+  auto replayed = ReplayWal(WalPathFor(h.path),
+                            WalConfigFingerprint(GoldenConfig()),
+                            [&](const WalRecord& rec) {
+                              logged.push_back(rec.id);
+                              return Status::OK();
+                            });
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(logged, std::vector<uint64_t>(ids.begin(), ids.begin() + 500));
 }
 
 TEST(ServerTest, ConcurrentExactReconstructsSeeEveryAcknowledgedInsert) {

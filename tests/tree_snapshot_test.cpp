@@ -67,7 +67,7 @@ void ExpectTreesIdentical(const BloomSampleTree& a, const BloomSampleTree& b) {
   EXPECT_EQ(a.config().seed, b.config().seed);
   EXPECT_EQ(a.config().depth, b.config().depth);
   EXPECT_EQ(a.pruned(), b.pruned());
-  EXPECT_EQ(a.occupied(), b.occupied());
+  EXPECT_EQ(a.OccupiedIds(), b.OccupiedIds());
   ASSERT_EQ(a.node_count(), b.node_count());
   for (size_t id = 0; id < a.node_count(); ++id) {
     const auto& na = a.node(static_cast<int64_t>(id));

@@ -98,7 +98,7 @@ uint64_t FileBytes(const std::string& path) {
 /// Full structural equality (mirrors tree_snapshot_test).
 void ExpectTreesIdentical(const BloomSampleTree& a, const BloomSampleTree& b) {
   EXPECT_EQ(a.pruned(), b.pruned());
-  EXPECT_EQ(a.occupied(), b.occupied());
+  EXPECT_EQ(a.OccupiedIds(), b.OccupiedIds());
   ASSERT_EQ(a.node_count(), b.node_count());
   for (size_t id = 0; id < a.node_count(); ++id) {
     const auto& na = a.node(static_cast<int64_t>(id));
@@ -254,7 +254,7 @@ TEST(WalTest, ReplayTruncatesAtEveryByteOffset) {
     const size_t expect_replayed =
         cut < kWalHeaderBytes ? 0 : (cut - kWalHeaderBytes) / kWalRecordBytes;
     EXPECT_EQ(info.wal_records_replayed, expect_replayed) << "cut=" << cut;
-    EXPECT_EQ(loaded.value().occupied(), ExpectedOccupied(expect_replayed))
+    EXPECT_EQ(loaded.value().OccupiedIds(), ExpectedOccupied(expect_replayed))
         << "cut=" << cut;
     const bool on_boundary =
         cut >= kWalHeaderBytes && (cut - kWalHeaderBytes) % kWalRecordBytes == 0;
@@ -295,7 +295,8 @@ TEST(WalTest, SingleBitFlipAnywhereRecoversACleanPrefix) {
           << "byte=" << byte << " bit=" << bit;
       EXPECT_TRUE(info.wal_recovered_corruption)
           << "byte=" << byte << " bit=" << bit;
-      EXPECT_EQ(loaded.value().occupied(), ExpectedOccupied(expect_replayed));
+      EXPECT_EQ(loaded.value().OccupiedIds(),
+                ExpectedOccupied(expect_replayed));
     }
   }
 }
@@ -322,7 +323,7 @@ TEST(WalTest, EmptyAndHugeAndMisSequencedRecordsStopReplay) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(info.wal_records_replayed, 4u);
     EXPECT_TRUE(info.wal_recovered_corruption);
-    EXPECT_EQ(loaded.value().occupied(), ExpectedOccupied(4));
+    EXPECT_EQ(loaded.value().OccupiedIds(), ExpectedOccupied(4));
     EXPECT_EQ(FileBytes(wal_path), pristine.size());  // tail amputated
   }
 }
@@ -383,7 +384,7 @@ TEST(WalTest, CompactionFoldsTheLogAndIngestContinues) {
   auto reopened = LoadTreeFromFile(path, LoadOptions(), &info);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(info.wal_records_replayed, extras.size() - 6);
-  EXPECT_EQ(reopened.value().occupied(), ExpectedOccupied(extras.size()));
+  EXPECT_EQ(reopened.value().OccupiedIds(), ExpectedOccupied(extras.size()));
 }
 
 TEST(WalTest, IngestContinuesAfterTornTailRecovery) {
@@ -443,7 +444,7 @@ TEST(WalTest, ReplayCanBeDisabled) {
   auto loaded = LoadTreeFromFile(path, options, &info);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(info.wal_records_replayed, 0u);
-  EXPECT_EQ(loaded.value().occupied(), ExpectedOccupied(0));
+  EXPECT_EQ(loaded.value().OccupiedIds(), ExpectedOccupied(0));
 }
 
 }  // namespace

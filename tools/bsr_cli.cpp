@@ -496,7 +496,8 @@ Status ForestInfo(const Flags& flags, const std::string& path) {
     std::printf("  shard %-2u     [%llu, %llu): %zu nodes, %zu occupied\n",
                 s, static_cast<unsigned long long>(f.ShardLo(s)),
                 static_cast<unsigned long long>(f.ShardHi(s)),
-                f.shard(s).node_count(), f.shard(s).occupied().size());
+                f.shard(s).node_count(),
+                static_cast<size_t>(f.shard(s).occupied_count()));
   }
   std::printf("  design accuracy at n=1000: %.3f\n",
               SamplingAccuracy(config.m, 1000, config.k,
@@ -532,7 +533,8 @@ Status CmdInfo(const Flags& flags) {
   std::printf("  layout:      %s\n",
               NodeLayoutName(tree.value().node_layout()));
   if (tree.value().pruned()) {
-    std::printf("  occupied:    %zu ids\n", tree.value().occupied().size());
+    std::printf("  occupied:    %llu ids\n",
+                static_cast<unsigned long long>(tree.value().occupied_count()));
   }
   std::printf("  design accuracy at n=1000: %.3f\n",
               SamplingAccuracy(config.m, 1000, config.k,
@@ -868,13 +870,9 @@ void PrintLaneStatusLines(const IngestPipelineStats& stats) {
 
 /// Pushes `op` for every id onto the pipeline's queue, flushes once and
 /// closes it, returning the first failure any of the three reports.
-/// Removes enable the counting-bloom leaves first: plain Bloom filters
-/// cannot unset bits, snapshots do not persist the counters, and replay
-/// re-enables them when it meets the first kRemove record.
 Status PushAll(IngestPipeline* pipeline, WalOp op,
                const std::vector<uint64_t>& ids, IngestPipelineStats* stats) {
-  Status st = op == WalOp::kRemove ? pipeline->EnableCountingLeaves()
-                                   : Status::OK();
+  Status st;
   for (size_t i = 0; st.ok() && i < ids.size(); ++i) {
     WalMutation mut;
     mut.op = op;
@@ -926,13 +924,13 @@ Status RunIngest(const Flags& flags, WalOp op) {
     TreeLoadInfo info;
     auto tree = LoadTreeForCli(flags, path, &info);
     if (!tree.ok()) return tree.status();
-    before = tree.value().occupied().size();
+    before = tree.value().occupied_count();
     auto pipeline = IngestPipeline::OpenTree(
         std::make_shared<BloomSampleTree>(std::move(tree).value()), path,
         options, info.wal_records_replayed + 1);
     if (!pipeline.ok()) return pipeline.status();
     st = PushAll(pipeline.value().get(), op, ids.value(), &stats);
-    after = pipeline.value()->tree_handle()->occupied().size();
+    after = pipeline.value()->tree_handle()->occupied_count();
   }
   if (!st.ok()) return st;
 
@@ -943,8 +941,7 @@ Status RunIngest(const Flags& flags, WalOp op) {
   const char* sync = WalSyncPolicyName(options.wal.policy);
   if (op == WalOp::kRemove) {
     std::printf("removed %llu of %zu ids (%llu were absent) in %.2f ms via "
-                "the ingest pipeline (sync=%s, counting-bloom leaves) -> "
-                "%s\n",
+                "the ingest pipeline (sync=%s) -> %s\n",
                 changed, n, unchanged, timer.ElapsedMillis(), sync,
                 path.c_str());
   } else {
@@ -1272,10 +1269,9 @@ commands:
                log. Works on forest manifests (per-shard logs).
   remove       --tree T.bst --ids ids.txt
                [--sync every|interval|none] [--interval N]
-               Logs kRemove records through the same pipeline and deletes
-               through the counting-bloom leaf backend (enabled on load:
-               exact counters rebuilt from the occupied set; plain Bloom
-               leaves cannot unset bits).
+               Logs kRemove records through the same pipeline; each
+               removal rebuilds its leaf's filter from the ids that
+               remain.
   compact      --tree T.bst             (fold the wal into the image
                                          atomically and empty the log:
                                          trees run the pipeline's
